@@ -340,14 +340,19 @@ and compile_arith_imm ctx fctx e =
   | Ast.Prim (p, args) -> compile_prim ctx fctx p args
   | _ -> assert false
 
-(* Boolean-producing expression with a fusable shape: top-level
-   [not]s are absorbed into the negate bit; compare-with-literal and
+(* Boolean-producing expression with a fusable shape: a top-level
+   [not] is absorbed into the negate bit; compare-with-literal and
    null?/pair? tests become one dispatch that pushes the boolean
-   directly. *)
+   directly. A second [not] cannot cancel the first in value context —
+   [(not (not 41))] is the boolean true, not [41] — so it is
+   materialised. *)
 and compile_bool ctx fctx ~negate (e : Ast.expr) =
   let neg = if negate then B.negate_bit else 0 in
   match e with
-  | Ast.Prim (Ast.Not, [ x ]) -> compile_bool ctx fctx ~negate:(not negate) x
+  | Ast.Prim (Ast.Not, [ x ]) when not negate -> compile_bool ctx fctx ~negate:true x
+  | Ast.Prim (Ast.Not, [ x ]) ->
+    compile_bool ctx fctx ~negate:true x;
+    emit ctx (B.make B.op_not)
   | Ast.Prim
       (((Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq_num) as p), [ x; Ast.Int k ])
     ->

@@ -17,6 +17,7 @@ type t = {
   mutable gc_mark : bool;
   free_list : int Vec.t;
   mutable free_word_count : int;
+  mutable max_hole : int;
 }
 
 type pos = { mutable fi : int; mutable addr : Addr.t }
@@ -39,6 +40,7 @@ let create ~id ~belt ~stamp ~bound_frames =
     gc_mark = false;
     free_list = Vec.create ~dummy:0 ();
     free_word_count = 0;
+    max_hole = 0;
   }
 
 (* A pinned (large-object-space) increment: exactly one object of
@@ -63,6 +65,7 @@ let create_pinned ~id ~belt ~stamp ~frames:frame_list mem ~size =
       gc_mark = false;
       free_list = Vec.create ~dummy:0 ();
       free_word_count = 0;
+      max_hole = 0;
     }
   in
   let fw = Memory.frame_words mem in
@@ -148,38 +151,63 @@ let seal t = t.sealed <- true
    with a remainder rule: a hole may be taken exactly, or split
    leaving at least [header_words] words for the remainder filler
    (1-word remainders cannot be represented, so such holes are
-   skipped for that size). *)
+   skipped for that size).
+
+   [max_hole] summarises the list so the fit tests do not walk it: a
+   hole admits [size] iff it is exactly [size] words or at least
+   [size + header_words], so the largest hole settles the question
+   except when it lies strictly between the two (with the two-word
+   header: when it is exactly [size + 1]), where only an exact-size
+   hole can fit. *)
 
 let clear_free_list t =
   Vec.clear t.free_list;
-  t.free_word_count <- 0
+  t.free_word_count <- 0;
+  t.max_hole <- 0
 
 let push_free t ~addr ~words =
   Vec.push t.free_list addr;
   Vec.push t.free_list words;
-  t.free_word_count <- t.free_word_count + words
+  t.free_word_count <- t.free_word_count + words;
+  if words > t.max_hole then t.max_hole <- words
 
 let free_words t = t.free_word_count
 
-let fits_free t ~size =
+let recompute_max_hole t =
+  let m = ref 0 in
   let n = Vec.length t.free_list in
-  let i = ref 0 in
-  let found = ref false in
-  while (not !found) && !i < n do
-    let words = Vec.get t.free_list (!i + 1) in
-    if words = size || words >= size + Object_model.header_words then
-      found := true
-    else i := !i + 2
+  let i = ref 1 in
+  while !i < n do
+    let words = Vec.get t.free_list !i in
+    if words > !m then m := words;
+    i := !i + 2
   done;
-  !found
+  t.max_hole <- !m
+
+let fits_free t ~size =
+  let m = t.max_hole in
+  if m = size || m >= size + Object_model.header_words then true
+  else if m < size then false
+  else begin
+    (* Only an exact-size hole can fit. *)
+    let n = Vec.length t.free_list in
+    let i = ref 1 in
+    while !i < n && Vec.get t.free_list !i <> size do
+      i := !i + 2
+    done;
+    !i < n
+  end
 
 let fit_or_null t mem ~size =
-  let n = Vec.length t.free_list in
+  (* No walk at all when every hole is smaller than [size]. *)
+  let n = if t.max_hole < size then 0 else Vec.length t.free_list in
   let i = ref 0 in
   let addr = ref Addr.null in
+  let taken = ref 0 in
   while !addr = Addr.null && !i < n do
     let a = Vec.get t.free_list !i in
     let words = Vec.get t.free_list (!i + 1) in
+    taken := words;
     if words = size then begin
       (* Exact fit: drop the pair (swap-remove keeps the vec dense). *)
       let last = Vec.length t.free_list - 2 in
@@ -189,10 +217,13 @@ let fit_or_null t mem ~size =
       addr := a
     end
     else if words >= size + Object_model.header_words then begin
-      (* Split: the remainder stays a filler object in place. *)
+      (* Split: the remainder stays a filler object in place. Only its
+         header is written: its payload words are payload words of the
+         hole's filler, which the sweep wrote as odd immediates, and no
+         split or allocation writes past [a + size] — so the remainder
+         already satisfies the filler invariant [Verify] checks. *)
       let rem = words - size in
       Memory.set mem (a + size) ((rem - Object_model.header_words) lsl 1);
-      Memory.fill mem ~dst:(a + size + 1) ~len:(rem - 1) 1;
       Vec.set t.free_list !i (a + size);
       Vec.set t.free_list (!i + 1) rem;
       t.objects <- t.objects + 1;
@@ -201,6 +232,8 @@ let fit_or_null t mem ~size =
     else i := !i + 2
   done;
   if !addr <> Addr.null then begin
+    (* Only taking or splitting a largest hole can lower the summary. *)
+    if !taken = t.max_hole then recompute_max_hole t;
     t.free_word_count <- t.free_word_count - size;
     (* The hole's words are odd immediates; the allocation contract is
        zeroed (null-field) memory, like a fresh bump. *)

@@ -34,6 +34,9 @@ type t = {
       (* flat (address, words) pairs indexing the filler objects left
          by a sweep; empty under the copying strategy *)
   mutable free_word_count : int; (* sum of the free-list hole sizes *)
+  mutable max_hole : int;
+      (* size of the largest free-list hole (0 when the list is empty):
+         lets the fit tests reject in O(1) *)
 }
 
 type pos
@@ -120,12 +123,15 @@ val free_words : t -> int
 
 val fits_free : t -> size:int -> bool
 (** Whether some hole admits a [size]-word object under the remainder
-    rule — the schedule's must-this-allocation-trigger test. *)
+    rule — the schedule's must-this-allocation-trigger test. O(1) from
+    [max_hole], except when the largest hole is too small to split but
+    larger than [size], where it looks for an exact-size hole. *)
 
 val fit_or_null : t -> Memory.t -> size:int -> Addr.t
 (** Take the first fitting hole: returns zeroed memory like a fresh
-    bump, writes the remainder filler when splitting, or [Addr.null]
-    when no hole fits. *)
+    bump, writes the remainder filler's header when splitting, or
+    [Addr.null] when no hole fits (at once when every hole is smaller
+    than [size]). *)
 
 val alloc_or_null : t -> Memory.t -> size:int -> Addr.t
 (** {!bump_or_null}, falling back to {!fit_or_null} when the bump

@@ -150,16 +150,20 @@ let fit_fallback st ~size =
     st.State.strategy.State.strategy_needs_reserve
     || State.free_frames st > 0
   then None
-  else
-    List.find_opt
-      (fun (i : Increment.t) ->
-        (not i.Increment.sealed)
-        && (not i.Increment.pinned)
-        && (Increment.fits_free i ~size
-           || (i.Increment.cursor <> Addr.null
-              && i.Increment.cursor + size <= i.Increment.limit))
-      (* holes from the sweep, or the bump tail the compactor reopened *))
-      (State.live_increments st)
+  else begin
+    let admits (i : Increment.t) =
+      (not i.Increment.sealed)
+      && (not i.Increment.pinned)
+      && (Increment.fits_free i ~size
+         || (i.Increment.cursor <> Addr.null
+            && i.Increment.cursor + size <= i.Increment.limit))
+      (* holes from the sweep, or the bump tail the compactor reopened *)
+    in
+    (* The [State.live_increments] order (belts by index, each front to
+       back), searched in place: once no whole frame is left, this runs
+       on every allocation that misses its target increment. *)
+    Array.find_map (fun b -> Belt.find_opt b admits) st.State.belts
+  end
 
 let prepare_alloc_in st ~belt ~size =
   (* Pretenured allocation (segregation by allocation site, paper S5):

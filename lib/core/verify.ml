@@ -144,6 +144,40 @@ let check_accounting st =
       st.State.frames_used
   else Ok ()
 
+(* Every free-list hole is a well-formed filler: an even header sizing
+   it to the hole, then payload words that are all odd immediates.
+   Free-list splits rely on this — a remainder reuses the hole's
+   payload words as its own without rewriting them. *)
+let check_fillers st =
+  let mem = st.State.mem in
+  List.fold_left
+    (fun acc (inc : Increment.t) ->
+      let* () = acc in
+      let fl = inc.Increment.free_list in
+      let res = ref (Ok ()) in
+      let i = ref 0 in
+      while Result.is_ok !res && !i < Beltway_util.Vec.length fl do
+        let a = Beltway_util.Vec.get fl !i in
+        let words = Beltway_util.Vec.get fl (!i + 1) in
+        if Memory.get mem a <> (words - Object_model.header_words) lsl 1 then
+          res :=
+            err "free-list filler at %#x (increment %d) has header %d, not a %d-word \
+                 hole"
+              a inc.Increment.id (Memory.get mem a) words
+        else
+          for w = a + 1 to a + words - 1 do
+            if Result.is_ok !res && Memory.get mem w land 1 = 0 then
+              res :=
+                err
+                  "free-list filler at %#x (increment %d): payload word %#x holds %d, \
+                   not an odd immediate"
+                  a inc.Increment.id w (Memory.get mem w)
+          done;
+        i := !i + 2
+      done;
+      !res)
+    (Ok ()) (State.live_increments st)
+
 let check gc =
   (* A sufficiently corrupt heap (dangling references into dead frames,
      clobbered headers) can make the traversal itself trap; that is a
@@ -154,6 +188,7 @@ let check gc =
     let* () = check_belt_fifo st in
     let* () = check_frames st in
     let* () = check_accounting st in
+    let* () = check_fillers st in
     check_objects_and_remsets gc
   with Invalid_argument e -> err "heap traversal trapped: %s" e
 

@@ -11,6 +11,8 @@
     - frame metadata agrees with increment membership, and per-belt
       FIFO stamp order holds (front stamps are minimal);
     - occupancy accounting matches a direct walk;
+    - every free-list hole is a filler object: an even header sizing it
+      to the hole and a payload of odd immediates only;
     - {b remset sufficiency}: for every object's reference slot whose
       (source frame, target frame) pair satisfies the barrier
       predicate, a remembered-set entry for that slot exists — the

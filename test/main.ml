@@ -22,4 +22,5 @@ let () =
       ("obs", Test_obs.suite);
       ("profiler", Test_profiler.suite);
       ("parallel gc", Test_parallel_gc.suite);
+      ("aliases", Test_aliases.suite);
     ]

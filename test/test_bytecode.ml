@@ -231,6 +231,29 @@ let differential_prop =
       let b = run_vm ~heap_kb:64 "25.25.100" src in
       a.out = b.out && a.stats = b.stats && a.error = b.error)
 
+(* ---- fixed regressions ---- *)
+
+(* Programs that once made the engines disagree; each must now match
+   the AST interpreter exactly, and print what it states. *)
+let regressions =
+  [
+    (* [compile_bool] absorbed both [not]s into the negate bit, so the
+       VM printed 41 where the interpreter printed the boolean. *)
+    ("(not (not e)) in value context", "(print (not (not 41)))", "1\n");
+    ( "odd and even not chains",
+      "(print (not (not (not 41)))) (print (not (not (not (not nil))))) \
+       (print (not (not (< 1 2))))",
+      "0\n0\n1\n" );
+  ]
+
+let test_regressions () =
+  List.iter
+    (fun (label, src, expected) ->
+      let a = run_interp "25.25.100" src in
+      check_equal ~label a (run_vm "25.25.100" src);
+      checks (label ^ ": printed") expected a.out)
+    regressions
+
 (* ---- compiled form ---- *)
 
 let test_compile_shapes () =
@@ -300,9 +323,10 @@ let suite =
   [
     ("programs x config grid: vm == interp", `Slow, test_programs_differential);
     ("programs under sanitizer: vm == interp", `Slow, test_programs_sanitized);
+    ("fixed regressions: vm == interp", `Quick, test_regressions);
     ("compiled streams walk exactly", `Quick, test_compile_shapes);
     ("disassembly smoke", `Quick, test_dump_is_stable);
     ("operand limit: hops overflow", `Quick, test_limit_hops);
     ("operand limit: within budget", `Quick, test_limit_within);
-    QCheck_alcotest.to_alcotest differential_prop;
+    Prop.to_alcotest differential_prop;
   ]

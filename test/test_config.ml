@@ -225,7 +225,7 @@ let suite =
   suite
   @ [
       ("registered configs round-trip", `Quick, test_registered_roundtrip);
-      QCheck_alcotest.to_alcotest config_fuzz_prop;
-      QCheck_alcotest.to_alcotest accepted_configs_run_prop;
-      QCheck_alcotest.to_alcotest config_roundtrip_prop;
+      Prop.to_alcotest config_fuzz_prop;
+      Prop.to_alcotest accepted_configs_run_prop;
+      Prop.to_alcotest config_roundtrip_prop;
     ]

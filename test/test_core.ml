@@ -95,6 +95,117 @@ let test_increment_scan_pos_frontier () =
   checki "scan_step returns it" a (Increment.scan_step i m pos);
   checkb "caught up" false (Increment.scan_pending i m pos)
 
+(* ---- Free-list allocator vs a reference first fit ---- *)
+
+(* The reference keeps the same flat list discipline as
+   [Increment.fit_or_null] — first fit in list order, an exact fit
+   swap-removed with the last pair, a split rewriting its pair in
+   place — but answers every query by walking the whole list, with no
+   summary to trust. *)
+let admits ~size words = words = size || words >= size + Object_model.header_words
+
+let ref_fit holes ~size =
+  let rec first i = function
+    | [] -> None
+    | (a, w) :: rest -> if admits ~size w then Some (i, a, w) else first (i + 1) rest
+  in
+  match first 0 holes with
+  | None -> (Addr.null, holes)
+  | Some (i, a, w) when w = size ->
+    let n = List.length holes in
+    let last = List.nth holes (n - 1) in
+    let kept = List.filteri (fun j _ -> j < n - 1) holes in
+    (a, List.mapi (fun j p -> if j = i then last else p) kept)
+  | Some (i, a, w) ->
+    (a, List.mapi (fun j p -> if j = i then (a + size, w - size) else p) holes)
+
+type fl_op = Push of int | Fit of int | Fits of int | Clear
+
+let pp_fl_op = function
+  | Push w -> Printf.sprintf "push %d" w
+  | Fit s -> Printf.sprintf "fit %d" s
+  | Fits s -> Printf.sprintf "fits %d" s
+  | Clear -> "clear"
+
+(* Hole and request sizes overlap so that every branch is exercised:
+   exact fits, splits, and the largest hole one word above the request
+   (where only an exact-size hole can fit). *)
+let fl_ops_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 80)
+      (frequency
+         [
+           (3, map (fun w -> Push w) (int_range 2 24));
+           (4, map (fun s -> Fit s) (int_range 2 26));
+           (2, map (fun s -> Fits s) (int_range 2 26));
+           (1, return Clear);
+         ]))
+
+let free_list_prop =
+  QCheck.Test.make ~name:"free list == reference linear first fit" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_fl_op ops))
+       fl_ops_gen)
+    (fun ops ->
+      let m = Memory.create ~frame_log_words:14 ~max_frames:1 in
+      let i = inc () in
+      Increment.add_frame i m (Memory.alloc_frame m);
+      (* Holes are laid out one word apart, each written as the sweep
+         writes a filler: even header, odd-immediate payload. *)
+      let next = ref (i.Increment.cursor + 1) in
+      let holes = ref [] in
+      let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
+      List.iter
+        (fun op ->
+          (match op with
+          | Push words ->
+            let a = !next in
+            next := a + words + 1;
+            Memory.set m a ((words - Object_model.header_words) lsl 1);
+            Memory.fill m ~dst:(a + 1) ~len:(words - 1) 1;
+            Increment.push_free i ~addr:a ~words;
+            holes := !holes @ [ (a, words) ]
+          | Fit size ->
+            let expected, rest = ref_fit !holes ~size in
+            holes := rest;
+            let got = Increment.fit_or_null i m ~size in
+            if got <> expected then
+              fail "fit %d: got %#x, reference %#x" size got expected;
+            if got <> Addr.null then
+              for w = got to got + size - 1 do
+                if Memory.get m w <> 0 then fail "fit %d: word %#x not zeroed" size w
+              done
+          | Fits size ->
+            let expected = List.exists (fun (_, w) -> admits ~size w) !holes in
+            if Increment.fits_free i ~size <> expected then
+              fail "fits %d: reference says %b" size expected
+          | Clear ->
+            Increment.clear_free_list i;
+            holes := []);
+          let flat = List.concat_map (fun (a, w) -> [ a; w ]) !holes in
+          if Beltway_util.Vec.to_list i.Increment.free_list <> flat then
+            fail "after %s: free_list differs from the reference" (pp_fl_op op);
+          let total = List.fold_left (fun acc (_, w) -> acc + w) 0 !holes in
+          if Increment.free_words i <> total then
+            fail "after %s: free_words %d, reference %d" (pp_fl_op op)
+              (Increment.free_words i) total;
+          let largest = List.fold_left (fun acc (_, w) -> max acc w) 0 !holes in
+          if i.Increment.max_hole <> largest then
+            fail "after %s: max_hole %d, largest hole %d" (pp_fl_op op)
+              i.Increment.max_hole largest;
+          (* Every hole, remainders included, is still a filler. *)
+          List.iter
+            (fun (a, w) ->
+              if Memory.get m a <> (w - Object_model.header_words) lsl 1 then
+                fail "after %s: hole %#x header stale" (pp_fl_op op) a;
+              for x = a + 1 to a + w - 1 do
+                if Memory.get m x land 1 = 0 then
+                  fail "after %s: hole %#x payload word %#x even" (pp_fl_op op) a x
+              done)
+            !holes)
+        ops;
+      true)
+
 (* ---- Belt ---- *)
 
 let mk_inc id stamp = Increment.create ~id ~belt:0 ~stamp ~bound_frames:None
@@ -298,6 +409,7 @@ let suite =
     ("increment bound/seal", `Quick, test_increment_bound_seal);
     ("increment scan over seams", `Quick, test_increment_scan_over_seams);
     ("increment scan frontier", `Quick, test_increment_scan_pos_frontier);
+    Prop.to_alcotest free_list_prop;
     ("belt fifo", `Quick, test_belt_fifo);
     ("belt swap (BOF flip)", `Quick, test_belt_swap);
     ("remset insert/iter", `Quick, test_remset_insert_iter);

@@ -164,9 +164,9 @@ let test_table_vs_heap_under_workloads () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest pack_roundtrip_prop;
+    Prop.to_alcotest pack_roundtrip_prop;
     ("pack corners", `Quick, test_pack_corners);
-    QCheck_alcotest.to_alcotest agreement_prop;
+    Prop.to_alcotest agreement_prop;
     ("in-plan bit orthogonal", `Quick, test_in_plan_bit_is_orthogonal);
     ( "table describes heap under workloads",
       `Quick,

@@ -420,9 +420,43 @@ let test_verify_detects_accounting_drift () =
   st.Beltway.State.frames_used <- st.Beltway.State.frames_used - 1;
   checkb "restored state passes" true (Result.is_ok (Beltway.Verify.check gc))
 
+(* A mark-sweep sweep leaves the dead objects between survivors as
+   free-list fillers; one payload word that is not an odd immediate
+   (here: a zero, as a split that reused unfilled words would leave)
+   must be rejected. *)
+let test_verify_detects_corrupt_filler () =
+  let gc = gc_of "25.25.100+strategy:marksweep" in
+  let ty = Gc.register_type gc ~name:"t" in
+  let roots = Gc.roots gc in
+  for i = 0 to 63 do
+    let x = Gc.alloc gc ~ty ~nfields:4 in
+    if i mod 2 = 0 then ignore (Roots.new_global roots (Value.of_addr x))
+  done;
+  Gc.full_collect gc;
+  checkb "swept heap passes" true (Result.is_ok (Beltway.Verify.check gc));
+  let st = Gc.state gc in
+  let holey =
+    List.find
+      (fun (i : Beltway.Increment.t) ->
+        Beltway_util.Vec.length i.Beltway.Increment.free_list > 0)
+      (Beltway.State.live_increments st)
+  in
+  let hole = Beltway_util.Vec.get holey.Beltway.Increment.free_list 0 in
+  Memory.set st.Beltway.State.mem (hole + 3) Value.null;
+  match Beltway.Verify.check gc with
+  | Ok () -> Alcotest.fail "corrupt filler payload accepted"
+  | Error e ->
+    let expected = Printf.sprintf "free-list filler at %#x" hole in
+    checkb
+      (Printf.sprintf "rejection names the filler (%s)" e)
+      true
+      (String.length e >= String.length expected
+      && String.sub e 0 (String.length expected) = expected)
+
 let suite =
   suite
   @ [
+      ("verify detects corrupt filler", `Quick, test_verify_detects_corrupt_filler);
       ("verify detects unremembered pointer", `Quick, test_verify_detects_unremembered_pointer);
       ("verify detects dangling pointer", `Quick, test_verify_detects_dangling_pointer);
       ("verify detects accounting drift", `Quick, test_verify_detects_accounting_drift);

@@ -358,7 +358,7 @@ let test_roots_iter_update () =
 let suite =
   [
     ("addr packing", `Quick, test_addr_packing);
-    QCheck_alcotest.to_alcotest addr_roundtrip_prop;
+    Prop.to_alcotest addr_roundtrip_prop;
     ("memory geometry", `Quick, test_memory_geometry);
     ("memory alloc/free", `Quick, test_memory_alloc_free);
     ("memory zeroed on reuse", `Quick, test_memory_zeroed_on_reuse);
@@ -369,10 +369,10 @@ let suite =
     ("memory contiguous recycles", `Quick, test_memory_contiguous_recycles);
     ("memory contiguous fresh fallback", `Quick, test_memory_contiguous_fresh_fallback);
     ("memory contiguous full budget", `Quick, test_memory_contiguous_full_budget);
-    QCheck_alcotest.to_alcotest memory_model_prop;
+    Prop.to_alcotest memory_model_prop;
     ("value tags", `Quick, test_value_tags);
     ("value errors", `Quick, test_value_errors);
-    QCheck_alcotest.to_alcotest value_int_roundtrip_prop;
+    Prop.to_alcotest value_int_roundtrip_prop;
     ("object layout", `Quick, test_object_layout);
     ("object forwarding", `Quick, test_object_forwarding);
     ("object ref slots", `Quick, test_object_ref_slots);

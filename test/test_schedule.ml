@@ -154,7 +154,7 @@ let test_reserve_tracks_occupancy () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest downward_closure_prop;
+    Prop.to_alcotest downward_closure_prop;
     ("appel prefers nursery", `Quick, test_appel_prefers_nursery);
     ("empty nursery escalates", `Quick, test_empty_nursery_escalates);
     ("no plan on empty heap", `Quick, test_plan_none_on_empty_heap);

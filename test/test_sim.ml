@@ -223,7 +223,7 @@ let suite =
     ("mmu no pauses", `Quick, test_mmu_no_pauses);
     ("mmu single pause", `Quick, test_mmu_single_pause);
     ("mmu clustered pauses", `Quick, test_mmu_clustered_pauses);
-    QCheck_alcotest.to_alcotest mmu_monotone_prop;
+    Prop.to_alcotest mmu_monotone_prop;
     ("runner ladder", `Quick, test_runner_ladder);
     ("runner min heap", `Slow, test_runner_min_heap);
     ("runner OOM reported", `Quick, test_runner_oom_reported);

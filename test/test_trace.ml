@@ -93,7 +93,7 @@ let suite =
       [
         (Printf.sprintf "fixed seeds (%s)" cs, `Quick, fun () ->
           List.iter (run_one cs) [ 1; 2; 3 ]);
-        QCheck_alcotest.to_alcotest (differential_prop cs);
+        Prop.to_alcotest (differential_prop cs);
       ])
     configs
   @ [

@@ -422,11 +422,11 @@ let suite =
     ("vec clear/truncate", `Quick, test_vec_clear_truncate);
     ("vec swap_remove", `Quick, test_vec_swap_remove);
     ("vec iterators", `Quick, test_vec_iterators);
-    QCheck_alcotest.to_alcotest vec_model_prop;
+    Prop.to_alcotest vec_model_prop;
     ("pqueue order", `Quick, test_pqueue_order);
     ("pqueue pop_le", `Quick, test_pqueue_pop_le);
     ("pqueue min/clear", `Quick, test_pqueue_min_prio_clear);
-    QCheck_alcotest.to_alcotest pqueue_sort_prop;
+    Prop.to_alcotest pqueue_sort_prop;
     ("stats mean/geomean", `Quick, test_stats_mean_geomean);
     ("stats normalize", `Quick, test_stats_normalize);
     ("stats percentile", `Quick, test_stats_percentile);
@@ -440,5 +440,5 @@ let suite =
     ("json print", `Quick, test_json_print);
     ("json parse", `Quick, test_json_parse);
     ("json malformed", `Quick, test_json_malformed);
-    QCheck_alcotest.to_alcotest json_roundtrip_prop;
+    Prop.to_alcotest json_roundtrip_prop;
   ]
