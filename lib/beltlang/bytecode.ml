@@ -345,7 +345,9 @@ let pp_insn p code pc fmt insn =
   else if opc = op_fail then
     Format.fprintf fmt "%-14s %S" name p.strings.(a insn)
   else if opc = op_jcmp_false then
-    Format.fprintf fmt "%-14s %s -> %d" name cmp_name.(c insn) (a insn)
+    Format.fprintf fmt "%-14s %a -> %d" name
+      (fun fmt kc -> pp_kc fmt kc cmp_name)
+      (c insn) (a insn)
   else if opc = op_arith_imm then
     Format.fprintf fmt "%-14s %s %d" name arith_name.(c insn) (b insn)
   else if opc = op_local || opc = op_set_local || opc = op_set_local_void then

@@ -19,20 +19,81 @@ let evacuation_frames p =
       if i.Increment.pinned then acc else acc + Increment.occupancy_frames i)
     0 p.increments
 
-type dest = { inc : Increment.t; pos : Increment.pos }
+(* ------------------------------------------------------------------ *)
+(* The collection pipeline. Every strategy runs the same scheme: seal
+   the plan, visit the roots, then the remembered slots (or the dirty
+   cards) that point into the plan from outside it, drain the grey
+   set, and reclaim the plan's frames. [run] owns every step that
+   scheme shares — hooks, plan sealing, phase spans, the remset
+   snapshot, the dirty-increment gather, the statistics record — and a
+   strategy supplies a [drain]: one body per phase, built once per
+   collection, so the pipeline adds no closure per slot or per object.
+   What the bodies differ in is what visiting a reference does
+   (forward and copy, or mark) and how grey work is held (a Cheney
+   scan pointer, private stacks plus Chase–Lev deques, or a mark
+   stack). *)
 
-(* The hot path below is deliberately allocation-free per object and
-   per slot: plan membership, pinnedness and the owning increment id
-   come from one packed frame-table word ([Frame_table.meta]), the
-   id -> increment step is an array read, forwarding pointers are
-   decoded from the raw header word (no [option]), and reference slots
-   are walked with a direct [for] loop over the object's field range
-   instead of a per-slot closure. Only per-collection setup (the plan
-   walk, destination registration) allocates. *)
-let collect_seq st plan =
-  let mem = st.State.mem in
+(* Per-collection totals, written by the drain's bodies and turned
+   into the one [Gc_stats.collection] record by [run]. *)
+type counts = {
+  mutable copied_words : int;
+  mutable copied_objects : int;
+  mutable scanned_slots : int;
+  mutable remset_slots : int;
+  mutable roots_scanned : int;
+  mutable marked_objects : int;
+  mutable marked_words : int;
+  mutable swept_words : int;
+  mutable moved_words : int;
+  mutable freed_frames : int;
+}
+
+type drain = {
+  roots : unit -> unit;
+  remembered : int Vec.t -> unit;
+      (** the snapshot of remembered slots whose target frame is in the
+          plan and whose source frame is not *)
+  dirty : Increment.t array -> unit;
+      (** increments owning a dirty frame outside the plan; their
+          cards are already cleared *)
+  trace_phase : Gc_stats.gc_phase;
+  trace : unit -> unit;  (** drain the grey set *)
+  settle : unit -> unit;
+      (** back on one domain, between the trace and reclaim spans *)
+  reclaim_phase : Gc_stats.gc_phase;
+  reclaim : unit -> unit;
+  reports : unit -> State.par_report array;
+      (** one per GC domain; [on_gc_domains] fires when there are two
+          or more *)
+}
+
+let unowned addr =
+  invalid_arg (Printf.sprintf "Collector: object %#x in unowned frame" addr)
+
+(* A retained increment leaves the plan: flag and frame bits cleared. *)
+let unplan ftab (inc : Increment.t) =
+  inc.Increment.in_plan <- false;
+  Vec.iter (fun f -> Frame_table.set_in_plan ftab ~frame:f false) inc.Increment.frames
+
+let release st c (inc : Increment.t) =
+  c.freed_frames <- c.freed_frames + Increment.occupancy_frames inc;
+  State.free_increment st inc
+
+(* The copying drains' reclaim: release the evacuated increments;
+   marked pinned increments stay in place (that is the point of the
+   large object space), with their transient plan/mark state cleared. *)
+let release_plan st plan c =
+  List.iter
+    (fun (inc : Increment.t) ->
+      if inc.Increment.pinned && inc.Increment.gc_mark then begin
+        inc.Increment.gc_mark <- false;
+        unplan st.State.ftab inc
+      end
+      else release st c inc)
+    plan.increments
+
+let run st plan make =
   let ftab = st.State.ftab in
-  let frame_log = Memory.frame_log mem in
   st.State.in_gc <- true;
   (match st.State.hooks with
   | [] -> ()
@@ -48,12 +109,16 @@ let collect_seq st plan =
     | [] -> ()
     | hs -> List.iter (fun h -> h.State.on_gc_phase ~phase:p ~enter) hs
   in
-  let copied_words = ref 0 in
-  let copied_objects = ref 0 in
-  let scanned_slots = ref 0 in
-  let remset_slots = ref 0 in
-  let roots_scanned = ref 0 in
-
+  let span p body =
+    phase p true;
+    body ();
+    phase p false
+  in
+  (* Plan totals up front: the in-place reclaims rewrite the plan
+     increments' own occupancy. *)
+  let pf = plan_frames plan in
+  let pw = plan_words plan in
+  let pi = List.length plan.increments in
   (* Plan membership: an in-plan bit on each member frame's packed
      metadata word, plus a flag on the increment itself. *)
   List.iter
@@ -62,6 +127,108 @@ let collect_seq st plan =
       Increment.seal inc;
       Vec.iter (fun f -> Frame_table.set_in_plan ftab ~frame:f true) inc.Increment.frames)
     plan.increments;
+  let c =
+    { copied_words = 0; copied_objects = 0; scanned_slots = 0; remset_slots = 0;
+      roots_scanned = 0; marked_objects = 0; marked_words = 0; swept_words = 0;
+      moved_words = 0; freed_frames = 0 }
+  in
+  let d = make st plan c in
+  span Gc_stats.Phase_roots d.roots;
+  (match st.State.policy.State.barrier with
+  | State.Barrier_remsets _ ->
+    phase Gc_stats.Phase_remset true;
+    (* Snapshot first (into scratch reused across collections): the
+       visit inserts new remset entries and the table must not be
+       mutated mid-iteration. *)
+    let slots = st.State.gc_slots in
+    Vec.clear slots;
+    Remset.iter_into st.State.remsets
+      ~in_plan:(fun f -> Frame_table.in_plan ftab f)
+      (fun ~slot -> Vec.push slots slot);
+    d.remembered slots;
+    Vec.clear slots;
+    phase Gc_stats.Phase_remset false
+  | State.Barrier_cards ->
+    phase Gc_stats.Phase_cards true;
+    (* Card scanning: every dirty frame outside the plan may hold
+       pointers into it, so its owning increment is scanned object by
+       object — the scan-cost side of the cards-vs-remsets trade-off
+       (paper S5). Cards are cleared first and re-marked for slots
+       that still hold interesting pointers afterwards. *)
+    let incs = Hashtbl.create 16 in
+    Card_table.iter_dirty st.State.cards (fun frame ->
+        if not (Frame_table.in_plan ftab frame) then begin
+          Card_table.clear st.State.cards ~frame;
+          match State.inc_of_frame st frame with
+          | Some inc -> Hashtbl.replace incs inc.Increment.id inc
+          | None -> ()
+        end);
+    d.dirty (Array.of_seq (Hashtbl.to_seq_values incs));
+    phase Gc_stats.Phase_cards false);
+  span d.trace_phase d.trace;
+  d.settle ();
+  span d.reclaim_phase d.reclaim;
+  st.State.in_gc <- false;
+  if plan.full_heap then st.State.live_est_frames <- st.State.frames_used;
+  let record : Gc_stats.collection =
+    {
+      Gc_stats.n = Gc_stats.gcs st.State.stats;
+      reason = plan.reason;
+      emergency = plan.emergency;
+      clock_words = st.State.stats.Gc_stats.words_allocated;
+      plan_incs = pi;
+      plan_frames = pf;
+      plan_words = pw;
+      full_heap = plan.full_heap;
+      copied_words = c.copied_words;
+      copied_objects = c.copied_objects;
+      scanned_slots = c.scanned_slots;
+      remset_slots = c.remset_slots;
+      roots_scanned = c.roots_scanned;
+      marked_objects = c.marked_objects;
+      marked_words = c.marked_words;
+      swept_words = c.swept_words;
+      moved_words = c.moved_words;
+      freed_frames = c.freed_frames;
+      heap_frames_after = st.State.frames_used;
+      reserve_frames = Copy_reserve.frames st;
+    }
+  in
+  Gc_stats.record_collection st.State.stats record;
+  (match st.State.hooks with
+  | [] -> ()
+  | hs ->
+    let reports = d.reports () in
+    List.iter
+      (fun h ->
+        if Array.length reports > 1 then h.State.on_gc_domains ~reports;
+        (* Reserve sampled once per collection, after the plan's frames
+           are back: the recorder's reserve-pressure time series. *)
+        h.State.on_reserve ~frames:record.Gc_stats.reserve_frames;
+        h.State.on_collect_end ~full_heap:plan.full_heap)
+      hs);
+  record
+
+let no_reports () = [||]
+
+(* ------------------------------------------------------------------ *)
+(* The sequential Cheney drain.
+
+   The hot path is deliberately allocation-free per object and per
+   slot: plan membership, pinnedness and the owning increment id come
+   from one packed frame-table word ([Frame_table.meta]), the id ->
+   increment step is an array read, forwarding pointers are decoded
+   from the raw header word (no [option]), and reference slots are
+   walked with a direct [for] loop over the object's field range
+   instead of a per-slot closure. Only per-collection setup (the drain
+   record, destination registration) allocates. *)
+
+type dest = { inc : Increment.t; pos : Increment.pos }
+
+let cheney_drain st plan c =
+  let mem = st.State.mem in
+  let ftab = st.State.ftab in
+  let frame_log = Memory.frame_log mem in
 
   (* Destination (open) increments, one per destination belt, created
      lazily and replaced when they hit their bound. [dests] also serves
@@ -124,17 +291,14 @@ let collect_seq st plan =
     Memory.unsafe_blit mem ~src:addr ~dst:new_addr ~len:size;
     (* Forwarding pointer: odd status word, as decoded in [forward]. *)
     Memory.unsafe_set mem addr ((new_addr lsl 1) lor 1);
-    copied_words := !copied_words + size;
-    incr copied_objects;
+    c.copied_words <- c.copied_words + size;
+    c.copied_objects <- c.copied_objects + 1;
     (match st.State.hooks with
     | [] -> ()
     | hs -> List.iter (fun h -> h.State.on_move ~src:addr ~dst:new_addr) hs);
     new_addr
   in
 
-  let unowned addr =
-    invalid_arg (Printf.sprintf "Collector: object %#x in unowned frame" addr)
-  in
   let forward v =
     if not (Value.is_ref v) then v
     else begin
@@ -165,20 +329,11 @@ let collect_seq st plan =
     end
   in
 
-  (* Roots. *)
-  phase Gc_stats.Phase_roots true;
-  Roots.iter_update st.State.roots (fun v ->
-      incr roots_scanned;
-      forward v);
-  phase Gc_stats.Phase_roots false;
-
   (* Record that a surviving slot still holds an interesting pointer,
      in whichever bookkeeping the policy's barrier discipline uses. The
      predicate is the write barrier's, inlined over the already-flat
      stamp table. *)
   let use_cards = st.State.policy.State.barrier = State.Barrier_cards in
-  let remsets = st.State.remsets in
-  let cards = st.State.cards in
   let re_remember ~slot ~src ~tgt =
     Write_barrier.re_remember st ~use_cards ~slot ~src_frame:src ~tgt_frame:tgt
   in
@@ -196,22 +351,7 @@ let collect_seq st plan =
     for slot = obj + 1 to obj + 1 + n do
       let v = Memory.unsafe_get mem slot in
       if Value.is_ref v then begin
-        incr scanned_slots;
-        let v' = forward v in
-        if v' <> v then Memory.unsafe_set mem slot v';
-        re_remember ~slot ~src:(slot lsr frame_log)
-          ~tgt:(Value.to_addr v' lsr frame_log)
-      end
-    done
-  in
-  (* Same walk for dirty-frame (card) scanning, which counts against
-     the remembered-slot statistic instead. *)
-  let card_scan_object obj =
-    let n = Memory.unsafe_get mem obj lsr 1 in
-    for slot = obj + 1 to obj + 1 + n do
-      let v = Memory.unsafe_get mem slot in
-      if Value.is_ref v then begin
-        incr remset_slots;
+        c.scanned_slots <- c.scanned_slots + 1;
         let v' = forward v in
         if v' <> v then Memory.unsafe_set mem slot v';
         re_remember ~slot ~src:(slot lsr frame_log)
@@ -220,21 +360,15 @@ let collect_seq st plan =
     done
   in
 
-  (match st.State.policy.State.barrier with
-  | State.Barrier_remsets _ ->
-    phase Gc_stats.Phase_remset true;
-    (* Remembered slots targeting the plan from outside it. Snapshot
-       first (into scratch reused across collections): forwarding
-       inserts new remset entries and the table must not be mutated
-       mid-iteration. *)
-    let pending_slots = st.State.gc_slots in
-    Vec.clear pending_slots;
-    Remset.iter_into remsets
-      ~in_plan:(fun f -> Frame_table.in_plan ftab f)
-      (fun ~slot -> Vec.push pending_slots slot);
-    for k = 0 to Vec.length pending_slots - 1 do
-      let slot = Vec.get pending_slots k in
-      incr remset_slots;
+  let roots () =
+    Roots.iter_update st.State.roots (fun v ->
+        c.roots_scanned <- c.roots_scanned + 1;
+        forward v)
+  in
+  let remembered slots =
+    for k = 0 to Vec.length slots - 1 do
+      let slot = Vec.get slots k in
+      c.remset_slots <- c.remset_slots + 1;
       let v = Memory.get mem slot in
       if Value.is_ref v then begin
         let v' = forward v in
@@ -246,123 +380,61 @@ let collect_seq st plan =
             ~tgt:(Value.to_addr v' lsr frame_log)
         end
       end
-    done;
-    Vec.clear pending_slots;
-    phase Gc_stats.Phase_remset false
-  | State.Barrier_cards ->
-    phase Gc_stats.Phase_cards true;
-    (* Card scanning: every dirty frame outside the plan may hold
-       pointers into it. Scan the owning increments object by object —
-       the scan-cost side of the cards-vs-remsets trade-off (paper S5).
-       Cards are cleared first and re-marked for slots that still hold
-       interesting pointers afterwards. *)
-    let incs_to_scan = Hashtbl.create 16 in
-    Card_table.iter_dirty cards (fun frame ->
-        if not (Frame_table.in_plan ftab frame) then begin
-          Card_table.clear cards ~frame;
-          match State.inc_of_frame st frame with
-          | Some inc -> Hashtbl.replace incs_to_scan inc.Increment.id inc
-          | None -> ()
-        end);
-    Hashtbl.iter
-      (fun _ (inc : Increment.t) -> Increment.iter_objects inc mem card_scan_object)
-      incs_to_scan;
-    phase Gc_stats.Phase_cards false);
+    done
+  in
+  (* The same object walk as the grey scan; its slots count as
+     remembered slots instead. Forwarding here copies but scans
+     nothing, so the scanned-slot delta is exactly the cards' share. *)
+  let dirty incs =
+    let before = c.scanned_slots in
+    Array.iter (fun inc -> Increment.iter_objects inc mem scan_object) incs;
+    c.remset_slots <- c.remset_slots + c.scanned_slots - before;
+    c.scanned_slots <- before
+  in
 
   (* Cheney drain: scan every destination's copied objects and every
      marked pinned object; scanning may copy or mark more, so iterate
      until no grey work remains. *)
-  phase Gc_stats.Phase_cheney true;
-  let progress = ref true in
-  let pinned_scanned = ref 0 in
-  while !progress do
-    progress := false;
-    (* [dests] may grow during the loop; index-based iteration picks up
-       new destinations in the same pass. *)
-    let i = ref 0 in
-    while !i < Vec.length dests do
-      let d = Option.get (Vec.get dests !i) in
-      let obj = ref (Increment.scan_next d.inc mem d.pos) in
-      while !obj <> Addr.null do
-        progress := true;
-        scan_object !obj;
-        obj := Increment.scan_next d.inc mem d.pos
+  let trace () =
+    let progress = ref true in
+    let pinned_scanned = ref 0 in
+    while !progress do
+      progress := false;
+      (* [dests] may grow during the loop; index-based iteration picks
+         up new destinations in the same pass. *)
+      let i = ref 0 in
+      while !i < Vec.length dests do
+        let d = Option.get (Vec.get dests !i) in
+        let obj = ref (Increment.scan_next d.inc mem d.pos) in
+        while !obj <> Addr.null do
+          progress := true;
+          scan_object !obj;
+          obj := Increment.scan_next d.inc mem d.pos
+        done;
+        incr i
       done;
-      incr i
-    done;
-    while !pinned_scanned < Vec.length pinned_work do
-      progress := true;
-      let inc = Vec.get pinned_work !pinned_scanned in
-      incr pinned_scanned;
-      scan_object (Increment.base_object inc mem)
+      while !pinned_scanned < Vec.length pinned_work do
+        progress := true;
+        let inc = Vec.get pinned_work !pinned_scanned in
+        incr pinned_scanned;
+        scan_object (Increment.base_object inc mem)
+      done
     done
-  done;
-  phase Gc_stats.Phase_cheney false;
-
-  (* Release the evacuated increments; marked pinned increments stay in
-     place (that is the point of the large object space), with their
-     transient plan/mark state cleared. *)
-  phase Gc_stats.Phase_free true;
-  let pf = plan_frames plan in
-  let pw = plan_words plan in
-  let pi = List.length plan.increments in
-  let freed_frames = ref 0 in
-  List.iter
-    (fun (inc : Increment.t) ->
-      if inc.Increment.pinned && inc.Increment.gc_mark then begin
-        inc.Increment.gc_mark <- false;
-        inc.Increment.in_plan <- false;
-        Vec.iter
-          (fun f -> Frame_table.set_in_plan ftab ~frame:f false)
-          inc.Increment.frames
-      end
-      else begin
-        freed_frames := !freed_frames + Increment.occupancy_frames inc;
-        State.free_increment st inc
-      end)
-    plan.increments;
-  let freed_frames = !freed_frames in
-  Vec.clear pinned_work;
-  phase Gc_stats.Phase_free false;
-
-  st.State.in_gc <- false;
-  if plan.full_heap then st.State.live_est_frames <- st.State.frames_used;
-  let record : Gc_stats.collection =
-    {
-      Gc_stats.n = Gc_stats.gcs st.State.stats;
-      reason = plan.reason;
-      emergency = plan.emergency;
-      clock_words = st.State.stats.Gc_stats.words_allocated;
-      plan_incs = pi;
-      plan_frames = pf;
-      plan_words = pw;
-      full_heap = plan.full_heap;
-      copied_words = !copied_words;
-      copied_objects = !copied_objects;
-      scanned_slots = !scanned_slots;
-      remset_slots = !remset_slots;
-      roots_scanned = !roots_scanned;
-      marked_objects = 0;
-      marked_words = 0;
-      swept_words = 0;
-      moved_words = 0;
-      freed_frames;
-      heap_frames_after = st.State.frames_used;
-      reserve_frames = Copy_reserve.frames st;
-    }
   in
-  Gc_stats.record_collection st.State.stats record;
-  (match st.State.hooks with
-  | [] -> ()
-  | hs ->
-    List.iter
-      (fun h ->
-        (* Reserve sampled once per collection, after the plan's frames
-           are back: the recorder's reserve-pressure time series. *)
-        h.State.on_reserve ~frames:record.Gc_stats.reserve_frames;
-        h.State.on_collect_end ~full_heap:plan.full_heap)
-      hs);
-  record
+  {
+    roots;
+    remembered;
+    dirty;
+    trace_phase = Gc_stats.Phase_cheney;
+    trace;
+    settle = ignore;
+    reclaim_phase = Gc_stats.Phase_free;
+    reclaim =
+      (fun () ->
+        release_plan st plan c;
+        Vec.clear pinned_work);
+    reports = no_reports;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* The parallel drain: the same collection sharded over N domains.
@@ -379,8 +451,8 @@ let collect_seq st plan =
    - shared-structure mutation (opening increments, granting frames,
      and the hooks those fire) is serialised by [st.gc_lock];
    - remset/card re-records and on_move hook firings are buffered per
-     domain and replayed on the submitting domain after the drain —
-     none of that machinery is thread-safe;
+     domain and replayed on the submitting domain after the drain
+     ([settle]) — none of that machinery is thread-safe;
    - termination: a shared in-flight counter, +1 per grey push and -1
      per scanned object, batched through a per-domain delta that is
      flushed at steal boundaries. A domain whose own work runs dry
@@ -397,52 +469,26 @@ module Team = Beltway_util.Team
    *different* heaps just share the queue). Grown when a heap asks for
    more domains than the current team has. *)
 let gc_team : Team.t option ref = ref None
-let exit_hook_installed = ref false
+let () = at_exit (fun () -> Option.iter Team.shutdown !gc_team)
 
 let team_for domains =
   match !gc_team with
   | Some t when Team.size t >= domains -> t
   | prev ->
-    (match prev with Some t -> Team.shutdown t | None -> ());
+    Option.iter Team.shutdown prev;
     let t = Team.create ~size:domains in
     gc_team := Some t;
-    if not !exit_hook_installed then begin
-      exit_hook_installed := true;
-      at_exit (fun () ->
-          match !gc_team with Some t -> Team.shutdown t | None -> ())
-    end;
     t
 
-let collect_par st plan =
+let parallel_drain st plan c =
   let mem = st.State.mem in
   let ftab = st.State.ftab in
   let frame_log = Memory.frame_log mem in
   let ndomains = st.State.gc_domains in
   let team = team_for ndomains in
-  st.State.in_gc <- true;
-  (match st.State.hooks with
-  | [] -> ()
-  | hs ->
-    List.iter
-      (fun h ->
-        h.State.on_collect_start ~reason:plan.reason ~emergency:plan.emergency)
-      hs);
-  let phase p enter =
-    match st.State.hooks with
-    | [] -> ()
-    | hs -> List.iter (fun h -> h.State.on_gc_phase ~phase:p ~enter) hs
-  in
   let record_moves = st.State.hooks <> [] in
   let clock = st.State.clock_us in
   let use_cards = st.State.policy.State.barrier = State.Barrier_cards in
-
-  (* Plan membership, exactly as in the sequential path. *)
-  List.iter
-    (fun (inc : Increment.t) ->
-      inc.Increment.in_plan <- true;
-      Increment.seal inc;
-      Vec.iter (fun f -> Frame_table.set_in_plan ftab ~frame:f true) inc.Increment.frames)
-    plan.increments;
 
   (* Worker domains read the flat backing, the liveness bitmap, the
      frame table and the id->increment mirror without synchronisation;
@@ -461,22 +507,22 @@ let collect_par st plan =
 
   let ctxs = State.par_domains st ndomains in
   Array.iter
-    (fun (c : State.par_domain) ->
-      Vec.clear c.State.pd_stack;
-      c.State.pd_delta <- 0;
-      Array.fill c.State.pd_dests 0 (Array.length c.State.pd_dests) None;
-      c.State.pd_opened <- [];
-      Vec.clear c.State.pd_remember;
-      Vec.clear c.State.pd_moves;
-      c.State.pd_copied_words <- 0;
-      c.State.pd_copied_objects <- 0;
-      c.State.pd_scanned_slots <- 0;
-      c.State.pd_remset_slots <- 0;
-      c.State.pd_roots_scanned <- 0;
-      c.State.pd_steals <- 0;
-      c.State.pd_cas_retries <- 0;
-      Array.fill c.State.pd_phase_start 0 3 0.;
-      Array.fill c.State.pd_phase_dur 0 3 0.)
+    (fun (ctx : State.par_domain) ->
+      Vec.clear ctx.State.pd_stack;
+      ctx.State.pd_delta <- 0;
+      Array.fill ctx.State.pd_dests 0 (Array.length ctx.State.pd_dests) None;
+      ctx.State.pd_opened <- [];
+      Vec.clear ctx.State.pd_remember;
+      Vec.clear ctx.State.pd_moves;
+      ctx.State.pd_copied_words <- 0;
+      ctx.State.pd_copied_objects <- 0;
+      ctx.State.pd_scanned_slots <- 0;
+      ctx.State.pd_remset_slots <- 0;
+      ctx.State.pd_roots_scanned <- 0;
+      ctx.State.pd_steals <- 0;
+      ctx.State.pd_cas_retries <- 0;
+      Array.fill ctx.State.pd_phase_start 0 3 0.;
+      Array.fill ctx.State.pd_phase_dur 0 3 0.)
     ctxs;
 
   let pending = Atomic.make 0 in
@@ -539,23 +585,14 @@ let collect_par st plan =
         dest_alloc ctx belt size
       end
       else begin
-        Mutex.lock st.State.gc_lock;
-        (try State.grant_frame st d ~during_gc:true
-         with e ->
-           Mutex.unlock st.State.gc_lock;
-           raise e);
-        Mutex.unlock st.State.gc_lock;
+        Mutex.protect st.State.gc_lock (fun () ->
+            State.grant_frame st d ~during_gc:true);
         dest_alloc ctx belt size
       end
     | None ->
-      Mutex.lock st.State.gc_lock;
       let inc =
-        try State.new_increment st ~belt
-        with e ->
-          Mutex.unlock st.State.gc_lock;
-          raise e
+        Mutex.protect st.State.gc_lock (fun () -> State.new_increment st ~belt)
       in
-      Mutex.unlock st.State.gc_lock;
       ctx.State.pd_dests.(belt) <- Some inc;
       ctx.State.pd_opened <- inc :: ctx.State.pd_opened;
       dest_alloc ctx belt size
@@ -591,9 +628,6 @@ let collect_par st plan =
     end
   in
 
-  let unowned addr =
-    invalid_arg (Printf.sprintf "Collector: object %#x in unowned frame" addr)
-  in
   let forward ctx v =
     if not (Value.is_ref v) then v
     else begin
@@ -639,14 +673,12 @@ let collect_par st plan =
     end
   in
 
-  let scan_slots (ctx : State.par_domain) ~as_remset obj =
+  let scan_slots (ctx : State.par_domain) obj =
     let n = Memory.unsafe_get mem obj lsr 1 in
     for slot = obj + 1 to obj + 1 + n do
       let v = Memory.unsafe_get mem slot in
       if Value.is_ref v then begin
-        if as_remset then
-          ctx.State.pd_remset_slots <- ctx.State.pd_remset_slots + 1
-        else ctx.State.pd_scanned_slots <- ctx.State.pd_scanned_slots + 1;
+        ctx.State.pd_scanned_slots <- ctx.State.pd_scanned_slots + 1;
         let v' = forward ctx v in
         if v' <> v then Memory.unsafe_set mem slot v';
         buffer_remember ctx ~slot ~src:(slot lsr frame_log)
@@ -673,76 +705,61 @@ let collect_par st plan =
     flush ctx;
     ctx.State.pd_phase_dur.(ord) <- clock () -. t0
   in
+  let on_team ord f =
+    Team.run team ~domains:ndomains (timed ord f);
+    check_failure ()
+  in
 
   (* Roots: strided shards over the combined root index space. *)
-  phase Gc_stats.Phase_roots true;
-  Team.run team ~domains:ndomains
-    (timed 0 (fun i ctx ->
-         Roots.iter_update_shard st.State.roots ~index:i ~stride:ndomains
-           (fun v ->
-             ctx.State.pd_roots_scanned <- ctx.State.pd_roots_scanned + 1;
-             forward ctx v)));
-  check_failure ();
-  phase Gc_stats.Phase_roots false;
-
-  (match st.State.policy.State.barrier with
-  | State.Barrier_remsets _ ->
-    phase Gc_stats.Phase_remset true;
-    (* Snapshot on the submitting domain (the remset tables are not
-       thread-safe), then process strided shards of the snapshot.
-       Duplicate slots may land in different shards: both domains
-       forward the same value (the CAS dedups the copy) and the
-       double insert is tolerated, as in the sequential path. *)
-    let pending_slots = st.State.gc_slots in
-    Vec.clear pending_slots;
-    Remset.iter_into st.State.remsets
-      ~in_plan:(fun f -> Frame_table.in_plan ftab f)
-      (fun ~slot -> Vec.push pending_slots slot);
-    Team.run team ~domains:ndomains
-      (timed 1 (fun i ctx ->
-           let len = Vec.length pending_slots in
-           let k = ref i in
-           while !k < len && not (aborted ()) do
-             let slot = Vec.get pending_slots !k in
-             ctx.State.pd_remset_slots <- ctx.State.pd_remset_slots + 1;
-             let v = Memory.get mem slot in
-             if Value.is_ref v then begin
-               let v' = forward ctx v in
-               if v' <> v then begin
-                 Memory.set mem slot v';
-                 buffer_remember ctx ~slot ~src:(slot lsr frame_log)
-                   ~tgt:(Value.to_addr v' lsr frame_log)
-               end
-             end;
-             k := !k + ndomains
-           done));
-    check_failure ();
-    Vec.clear pending_slots;
-    phase Gc_stats.Phase_remset false
-  | State.Barrier_cards ->
-    phase Gc_stats.Phase_cards true;
-    (* Dirty-increment gathering on the submitting domain; each dirty
-       increment is scanned wholly by one domain (strided), so no two
-       domains write the same non-plan slot. *)
-    let incs_to_scan = Hashtbl.create 16 in
-    Card_table.iter_dirty st.State.cards (fun frame ->
-        if not (Frame_table.in_plan ftab frame) then begin
-          Card_table.clear st.State.cards ~frame;
-          match State.inc_of_frame st frame with
-          | Some inc -> Hashtbl.replace incs_to_scan inc.Increment.id inc
-          | None -> ()
-        end);
-    let scan_incs = Array.of_seq (Hashtbl.to_seq_values incs_to_scan) in
-    Team.run team ~domains:ndomains
-      (timed 1 (fun i ctx ->
-           let k = ref i in
-           while !k < Array.length scan_incs && not (aborted ()) do
-             Increment.iter_objects scan_incs.(!k) mem (fun obj ->
-                 scan_slots ctx ~as_remset:true obj);
-             k := !k + ndomains
-           done));
-    check_failure ();
-    phase Gc_stats.Phase_cards false);
+  let roots () =
+    on_team 0 (fun i ctx ->
+        Roots.iter_update_shard st.State.roots ~index:i ~stride:ndomains
+          (fun v ->
+            ctx.State.pd_roots_scanned <- ctx.State.pd_roots_scanned + 1;
+            forward ctx v))
+  in
+  (* Strided shards of the snapshot (taken on the submitting domain:
+     the remset tables are not thread-safe). Duplicate slots may land
+     in different shards: both domains forward the same value (the CAS
+     dedups the copy) and the double insert is tolerated, as in the
+     sequential drain. *)
+  let remembered slots =
+    on_team 1 (fun i ctx ->
+        let len = Vec.length slots in
+        let k = ref i in
+        while !k < len && not (aborted ()) do
+          let slot = Vec.get slots !k in
+          ctx.State.pd_remset_slots <- ctx.State.pd_remset_slots + 1;
+          let v = Memory.get mem slot in
+          if Value.is_ref v then begin
+            let v' = forward ctx v in
+            if v' <> v then begin
+              Memory.set mem slot v';
+              buffer_remember ctx ~slot ~src:(slot lsr frame_log)
+                ~tgt:(Value.to_addr v' lsr frame_log)
+            end
+          end;
+          k := !k + ndomains
+        done)
+  in
+  (* Each dirty increment is scanned wholly by one domain (strided), so
+     no two domains write the same non-plan slot. No domain has
+     scanned a grey object yet, so every scanned slot so far is a
+     card slot and counts as a remembered one. *)
+  let dirty incs =
+    on_team 1 (fun i ctx ->
+        let k = ref i in
+        while !k < Array.length incs && not (aborted ()) do
+          Increment.iter_objects incs.(!k) mem (scan_slots ctx);
+          k := !k + ndomains
+        done);
+    Array.iter
+      (fun (ctx : State.par_domain) ->
+        ctx.State.pd_remset_slots <-
+          ctx.State.pd_remset_slots + ctx.State.pd_scanned_slots;
+        ctx.State.pd_scanned_slots <- 0)
+      ctxs
+  in
 
   (* Cheney drain. Hot path: pop the private stack (no atomics),
      offloading surplus to the domain's deque in batches so thieves
@@ -754,11 +771,7 @@ let collect_par st plan =
   let offload_trigger = 64 and offload_low = 16 and offload_batch = 32 in
   let flush_bound = 64 in
   let any_published () =
-    let any = ref false in
-    for d = 0 to ndomains - 1 do
-      if not (Deque.is_empty ctxs.(d).State.pd_grey) then any := true
-    done;
-    !any
+    Array.exists (fun (ctx : State.par_domain) -> not (Deque.is_empty ctx.State.pd_grey)) ctxs
   in
   let park () =
     Mutex.lock idle_m;
@@ -771,226 +784,159 @@ let collect_par st plan =
     Atomic.decr sleepers;
     Mutex.unlock idle_m
   in
-  phase Gc_stats.Phase_cheney true;
-  Team.run team ~domains:ndomains
-    (timed 2 (fun i ctx ->
-         let scan obj =
-           scan_slots ctx ~as_remset:false obj;
-           ctx.State.pd_delta <- ctx.State.pd_delta - 1
-         in
-         let rec own () =
-           if
-             Vec.length ctx.State.pd_stack > offload_trigger
-             && Deque.length ctx.State.pd_grey < offload_low
-           then begin
-             for _ = 1 to offload_batch do
-               Deque.push ctx.State.pd_grey (Vec.pop ctx.State.pd_stack)
-             done;
-             if Atomic.get sleepers > 0 then wake_all ()
-           end;
-           if ctx.State.pd_delta > flush_bound then flush ctx;
-           if not (Vec.is_empty ctx.State.pd_stack) then begin
-             scan (Vec.pop ctx.State.pd_stack);
-             own ()
-           end
-           else begin
-             let obj = Deque.pop ctx.State.pd_grey in
-             if obj <> Addr.null then begin
-               scan obj;
-               own ()
-             end
-             else steal 0
-           end
-         and steal rounds =
-           flush ctx;
-           if not (aborted ()) then begin
-             let stolen = ref Addr.null in
-             let k = ref 1 in
-             while !stolen = Addr.null && !k < ndomains do
-               let v = Deque.steal ctxs.((i + !k) mod ndomains).State.pd_grey in
-               if v <> Addr.null then stolen := v;
-               incr k
-             done;
-             match !stolen with
-             | obj when obj <> Addr.null ->
-               ctx.State.pd_steals <- ctx.State.pd_steals + 1;
-               scan obj;
-               own ()
-             | _ ->
-               if Atomic.get pending = 0 then ()
-               else if rounds < 2 then begin
-                 Domain.cpu_relax ();
-                 steal (rounds + 1)
-               end
-               else begin
-                 park ();
-                 steal 0
-               end
-           end
-         in
-         own ()));
-  check_failure ();
-  phase Gc_stats.Phase_cheney false;
+  let trace () =
+    on_team 2 (fun i ctx ->
+        let scan obj =
+          scan_slots ctx obj;
+          ctx.State.pd_delta <- ctx.State.pd_delta - 1
+        in
+        let rec own () =
+          if
+            Vec.length ctx.State.pd_stack > offload_trigger
+            && Deque.length ctx.State.pd_grey < offload_low
+          then begin
+            for _ = 1 to offload_batch do
+              Deque.push ctx.State.pd_grey (Vec.pop ctx.State.pd_stack)
+            done;
+            if Atomic.get sleepers > 0 then wake_all ()
+          end;
+          if ctx.State.pd_delta > flush_bound then flush ctx;
+          if not (Vec.is_empty ctx.State.pd_stack) then begin
+            scan (Vec.pop ctx.State.pd_stack);
+            own ()
+          end
+          else begin
+            let obj = Deque.pop ctx.State.pd_grey in
+            if obj <> Addr.null then begin
+              scan obj;
+              own ()
+            end
+            else steal 0
+          end
+        and steal rounds =
+          flush ctx;
+          if not (aborted ()) then begin
+            let stolen = ref Addr.null in
+            let k = ref 1 in
+            while !stolen = Addr.null && !k < ndomains do
+              let v = Deque.steal ctxs.((i + !k) mod ndomains).State.pd_grey in
+              if v <> Addr.null then stolen := v;
+              incr k
+            done;
+            match !stolen with
+            | obj when obj <> Addr.null ->
+              ctx.State.pd_steals <- ctx.State.pd_steals + 1;
+              scan obj;
+              own ()
+            | _ ->
+              if Atomic.get pending = 0 then ()
+              else if rounds < 2 then begin
+                Domain.cpu_relax ();
+                steal (rounds + 1)
+              end
+              else begin
+                park ();
+                steal 0
+              end
+          end
+        in
+        own ())
+  in
 
-  (* Back to one domain: replay buffered side effects, then the free
-     phase and bookkeeping exactly as in the sequential path. *)
-  let copied_words = ref 0 in
-  let copied_objects = ref 0 in
-  let scanned_slots = ref 0 in
-  let remset_slots = ref 0 in
-  let roots_scanned = ref 0 in
-  Array.iter
-    (fun (c : State.par_domain) ->
-      copied_words := !copied_words + c.State.pd_copied_words;
-      copied_objects := !copied_objects + c.State.pd_copied_objects;
-      scanned_slots := !scanned_slots + c.State.pd_scanned_slots;
-      remset_slots := !remset_slots + c.State.pd_remset_slots;
-      roots_scanned := !roots_scanned + c.State.pd_roots_scanned)
-    ctxs;
-
-  (* Moves first, so the shadow heap has re-keyed every object before
-     any later hook looks at it. *)
-  if record_moves then
+  (* Back to one domain: replay the buffered moves first, so the shadow
+     heap has re-keyed every object before any later hook looks at it;
+     then per domain sum the totals, replay the re-records, and free
+     the destination increments that ended the drain empty — every
+     copy they received lost its forwarding race (they may hold one
+     granted frame each, and no slot lies in or points into them). *)
+  let settle () =
+    if record_moves then
+      Array.iter
+        (fun (ctx : State.par_domain) ->
+          let mv = ctx.State.pd_moves in
+          let len = Vec.length mv in
+          let k = ref 0 in
+          while !k < len do
+            let src = Vec.get mv !k and dst = Vec.get mv (!k + 1) in
+            List.iter (fun h -> h.State.on_move ~src ~dst) st.State.hooks;
+            k := !k + 2
+          done;
+          Vec.clear mv)
+        ctxs;
     Array.iter
-      (fun (c : State.par_domain) ->
-        let mv = c.State.pd_moves in
-        let len = Vec.length mv in
+      (fun (ctx : State.par_domain) ->
+        c.copied_words <- c.copied_words + ctx.State.pd_copied_words;
+        c.copied_objects <- c.copied_objects + ctx.State.pd_copied_objects;
+        c.scanned_slots <- c.scanned_slots + ctx.State.pd_scanned_slots;
+        c.remset_slots <- c.remset_slots + ctx.State.pd_remset_slots;
+        c.roots_scanned <- c.roots_scanned + ctx.State.pd_roots_scanned;
+        let buf = ctx.State.pd_remember in
+        let len = Vec.length buf in
         let k = ref 0 in
         while !k < len do
-          let src = Vec.get mv !k and dst = Vec.get mv (!k + 1) in
-          List.iter (fun h -> h.State.on_move ~src ~dst) st.State.hooks;
+          let slot = Vec.get buf !k and tgt = Vec.get buf (!k + 1) in
+          Write_barrier.re_remember st ~use_cards ~slot
+            ~src_frame:(slot lsr frame_log) ~tgt_frame:tgt;
           k := !k + 2
         done;
-        Vec.clear mv)
-      ctxs;
-
-  Array.iter
-    (fun (c : State.par_domain) ->
-      let buf = c.State.pd_remember in
-      let len = Vec.length buf in
-      let k = ref 0 in
-      while !k < len do
-        let slot = Vec.get buf !k and tgt = Vec.get buf (!k + 1) in
-        Write_barrier.re_remember st ~use_cards ~slot
-          ~src_frame:(slot lsr frame_log) ~tgt_frame:tgt;
-        k := !k + 2
-      done;
-      Vec.clear buf)
-    ctxs;
-
-  (* Destination increments that ended the drain empty — every copy
-     they received lost its forwarding race — are freed (they may hold
-     one granted frame each). *)
-  Array.iter
-    (fun (c : State.par_domain) ->
-      List.iter
-        (fun (inc : Increment.t) ->
-          if Increment.words_used inc = 0 then State.free_increment st inc)
-        c.State.pd_opened;
-      c.State.pd_opened <- [];
-      Array.fill c.State.pd_dests 0 (Array.length c.State.pd_dests) None)
-    ctxs;
-
-  phase Gc_stats.Phase_free true;
-  let pf = plan_frames plan in
-  let pw = plan_words plan in
-  let pi = List.length plan.increments in
-  let freed_frames = ref 0 in
-  List.iter
-    (fun (inc : Increment.t) ->
-      if inc.Increment.pinned && inc.Increment.gc_mark then begin
-        inc.Increment.gc_mark <- false;
-        inc.Increment.in_plan <- false;
-        Vec.iter
-          (fun f -> Frame_table.set_in_plan ftab ~frame:f false)
-          inc.Increment.frames
-      end
-      else begin
-        freed_frames := !freed_frames + Increment.occupancy_frames inc;
-        State.free_increment st inc
-      end)
-    plan.increments;
-  let freed_frames = !freed_frames in
-  phase Gc_stats.Phase_free false;
-
-  st.State.in_gc <- false;
-  if plan.full_heap then st.State.live_est_frames <- st.State.frames_used;
-  let record : Gc_stats.collection =
-    {
-      Gc_stats.n = Gc_stats.gcs st.State.stats;
-      reason = plan.reason;
-      emergency = plan.emergency;
-      clock_words = st.State.stats.Gc_stats.words_allocated;
-      plan_incs = pi;
-      plan_frames = pf;
-      plan_words = pw;
-      full_heap = plan.full_heap;
-      copied_words = !copied_words;
-      copied_objects = !copied_objects;
-      scanned_slots = !scanned_slots;
-      remset_slots = !remset_slots;
-      roots_scanned = !roots_scanned;
-      marked_objects = 0;
-      marked_words = 0;
-      swept_words = 0;
-      moved_words = 0;
-      freed_frames;
-      heap_frames_after = st.State.frames_used;
-      reserve_frames = Copy_reserve.frames st;
-    }
+        Vec.clear buf;
+        List.iter
+          (fun (inc : Increment.t) ->
+            if Increment.words_used inc = 0 then State.free_increment st inc)
+          ctx.State.pd_opened;
+        ctx.State.pd_opened <- [];
+        Array.fill ctx.State.pd_dests 0 (Array.length ctx.State.pd_dests) None)
+      ctxs
   in
-  Gc_stats.record_collection st.State.stats record;
-  (match st.State.hooks with
-  | [] -> ()
-  | hs ->
-    let reports =
-      Array.mapi
-        (fun i (c : State.par_domain) ->
-          {
-            State.pr_domain = i;
-            pr_phases =
-              [|
-                ( Gc_stats.Phase_roots,
-                  c.State.pd_phase_start.(0),
-                  c.State.pd_phase_dur.(0) );
-                ( (if use_cards then Gc_stats.Phase_cards
-                   else Gc_stats.Phase_remset),
-                  c.State.pd_phase_start.(1),
-                  c.State.pd_phase_dur.(1) );
-                ( Gc_stats.Phase_cheney,
-                  c.State.pd_phase_start.(2),
-                  c.State.pd_phase_dur.(2) );
-              |];
-            pr_copied_objects = c.State.pd_copied_objects;
-            pr_copied_words = c.State.pd_copied_words;
-            pr_scanned_slots = c.State.pd_scanned_slots + c.State.pd_remset_slots;
-            pr_steals = c.State.pd_steals;
-            pr_cas_retries = c.State.pd_cas_retries;
-          })
-        ctxs
-    in
-    List.iter
-      (fun h ->
-        h.State.on_gc_domains ~reports;
-        h.State.on_reserve ~frames:record.Gc_stats.reserve_frames;
-        h.State.on_collect_end ~full_heap:plan.full_heap)
-      hs);
-  record
+  let reports () =
+    Array.mapi
+      (fun i (ctx : State.par_domain) ->
+        let span ord phase =
+          (phase, ctx.State.pd_phase_start.(ord), ctx.State.pd_phase_dur.(ord))
+        in
+        {
+          State.pr_domain = i;
+          pr_phases =
+            [|
+              span 0 Gc_stats.Phase_roots;
+              span 1
+                (if use_cards then Gc_stats.Phase_cards else Gc_stats.Phase_remset);
+              span 2 Gc_stats.Phase_cheney;
+            |];
+          pr_copied_objects = ctx.State.pd_copied_objects;
+          pr_copied_words = ctx.State.pd_copied_words;
+          pr_scanned_slots = ctx.State.pd_scanned_slots + ctx.State.pd_remset_slots;
+          pr_steals = ctx.State.pd_steals;
+          pr_cas_retries = ctx.State.pd_cas_retries;
+        })
+      ctxs
+  in
+  {
+    roots;
+    remembered;
+    dirty;
+    trace_phase = Gc_stats.Phase_cheney;
+    trace;
+    settle;
+    reclaim_phase = Gc_stats.Phase_free;
+    reclaim = (fun () -> release_plan st plan c);
+    reports;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* The in-place strategies: bitmap mark-sweep and threaded (Jonkers)
-   mark-compact. One driver handles both; [compact] selects whether
+   mark-compact. One drain handles both; [compact] selects whether
    the reclaim phase rebuilds free lists in place or slides survivors
    to the front of their own increments.
 
    Shape of a collection:
 
-   - the plan's non-pinned increments are *logically promoted first*:
-     moved to their destination belts and restamped (every frame
-     restamped to match) before any tracing. Tracing then runs
-     entirely under the final stamps, so re-applying the write
-     barrier's predicate while marking records exactly the right
-     remembered slots — the property the copying drain gets from
+   - the plan's non-pinned increments are *logically promoted first*
+     (while the drain is built): moved to their destination belts and
+     restamped (every frame restamped to match) before any tracing.
+     Tracing then runs entirely under the final stamps, so re-applying
+     the write barrier's predicate while marking records exactly the
+     right remembered slots — the property the copying drain gets from
      allocating survivors into new-stamped destination frames.
      Restamping only ever raises a target's stamp, so pre-existing
      remembered entries can become superfluous but never
@@ -1012,56 +958,19 @@ let collect_par st plan =
      in motoko-rts) and slides survivors to the front of the
      increment's own frames in two passes, freeing the vacated tail.
 
-   Neither strategy needs a copy reserve ([Strategy] reserves zero
-   frames), which is exactly the trade the strategies experiment
+   Neither strategy needs a copy reserve ([Copy_reserve] holds back
+   zero frames), which is exactly the trade the strategies experiment
    measures against the copying collector's per-object work. *)
-let collect_mark st plan ~compact =
+let mark_drain ~compact st plan c =
   let mem = st.State.mem in
   let ftab = st.State.ftab in
   let frame_log = Memory.frame_log mem in
   let frame_words = Memory.frame_words mem in
-  st.State.in_gc <- true;
-  (match st.State.hooks with
-  | [] -> ()
-  | hs ->
-    List.iter
-      (fun h ->
-        h.State.on_collect_start ~reason:plan.reason ~emergency:plan.emergency)
-      hs);
-  let phase p enter =
-    match st.State.hooks with
-    | [] -> ()
-    | hs -> List.iter (fun h -> h.State.on_gc_phase ~phase:p ~enter) hs
-  in
   let hook_object_dead ~addr ~words =
     match st.State.hooks with
     | [] -> ()
     | hs -> List.iter (fun h -> h.State.on_object_dead ~addr ~words) hs
   in
-  let marked_objects = ref 0 in
-  let marked_words = ref 0 in
-  let swept_words = ref 0 in
-  let moved_words = ref 0 in
-  let scanned_slots = ref 0 in
-  let remset_slots = ref 0 in
-  let roots_scanned = ref 0 in
-  let freed_frames = ref 0 in
-
-  (* Plan totals up front: unlike the copying drain, the reclaim phase
-     below rewrites the plan increments' own occupancy. *)
-  let pf = plan_frames plan in
-  let pw = plan_words plan in
-  let pi = List.length plan.increments in
-
-  (* Plan membership bits, as in the copying drain. *)
-  List.iter
-    (fun (inc : Increment.t) ->
-      inc.Increment.in_plan <- true;
-      Increment.seal inc;
-      Vec.iter
-        (fun f -> Frame_table.set_in_plan ftab ~frame:f true)
-        inc.Increment.frames)
-    plan.increments;
 
   (* Logical promotion: survivors keep their frames, so promotion is a
      belt/stamp relabelling instead of a copy. Each increment takes a
@@ -1106,9 +1015,9 @@ let collect_mark st plan ~compact =
         && not (Memory.marked mem addr)
       then begin
         Memory.set_mark mem addr;
-        incr marked_objects;
-        marked_words :=
-          !marked_words + (Memory.unsafe_get mem addr lsr 1)
+        c.marked_objects <- c.marked_objects + 1;
+        c.marked_words <-
+          c.marked_words + (Memory.unsafe_get mem addr lsr 1)
           + Object_model.header_words;
         Vec.push stack addr
       end
@@ -1118,6 +1027,17 @@ let collect_mark st plan ~compact =
   let use_cards = st.State.policy.State.barrier = State.Barrier_cards in
   let re_remember ~slot ~src ~tgt =
     Write_barrier.re_remember st ~use_cards ~slot ~src_frame:src ~tgt_frame:tgt
+  in
+  (* Re-apply the barrier predicate to every reference slot of [obj],
+     once each target has its final address. *)
+  let re_remember_object obj =
+    let n = Memory.unsafe_get mem obj lsr 1 in
+    for slot = obj + 1 to obj + 1 + n do
+      let v = Memory.unsafe_get mem slot in
+      if Value.is_ref v then
+        re_remember ~slot ~src:(slot lsr frame_log)
+          ~tgt:(Value.to_addr v lsr frame_log)
+    done
   in
 
   (* External referrer slots, collected during the remset/card phases.
@@ -1138,58 +1058,35 @@ let collect_mark st plan ~compact =
 
   (* Roots. Nothing moves during marking, so this pass only traces;
      the compactor rewrites root slots after the slide. *)
-  phase Gc_stats.Phase_roots true;
-  Roots.iter_update st.State.roots (fun v ->
-      incr roots_scanned;
-      trace v;
-      v);
-  phase Gc_stats.Phase_roots false;
-
-  (match st.State.policy.State.barrier with
-  | State.Barrier_remsets _ ->
-    phase Gc_stats.Phase_remset true;
-    (* Remembered slots targeting the plan from outside it. Snapshot
-       first: marking inserts remset entries (mark-sweep re-records
-       during the drain) and the table must not be mutated
-       mid-iteration. *)
-    let pending_slots = st.State.gc_slots in
-    Vec.clear pending_slots;
-    Remset.iter_into st.State.remsets
-      ~in_plan:(fun f -> Frame_table.in_plan ftab f)
-      (fun ~slot -> Vec.push pending_slots slot);
-    for k = 0 to Vec.length pending_slots - 1 do
-      let slot = Vec.get pending_slots k in
-      incr remset_slots;
+  let roots () =
+    Roots.iter_update st.State.roots (fun v ->
+        c.roots_scanned <- c.roots_scanned + 1;
+        trace v;
+        v)
+  in
+  let remembered slots =
+    for k = 0 to Vec.length slots - 1 do
+      let slot = Vec.get slots k in
+      c.remset_slots <- c.remset_slots + 1;
       let v = Memory.get mem slot in
       if Value.is_ref v then begin
         trace v;
         note_ext slot
       end
-    done;
-    Vec.clear pending_slots;
-    phase Gc_stats.Phase_remset false
-  | State.Barrier_cards ->
-    phase Gc_stats.Phase_cards true;
-    (* Dirty-frame scanning, as in the copying drain: cards are cleared
-       first and re-marked for slots that still hold interesting
-       pointers — immediately for slots whose target stays put, after
-       the slide for slots into compacting increments. *)
-    let incs_to_scan = Hashtbl.create 16 in
-    Card_table.iter_dirty st.State.cards (fun frame ->
-        if not (Frame_table.in_plan ftab frame) then begin
-          Card_table.clear st.State.cards ~frame;
-          match State.inc_of_frame st frame with
-          | Some inc -> Hashtbl.replace incs_to_scan inc.Increment.id inc
-          | None -> ()
-        end);
-    Hashtbl.iter
-      (fun _ (inc : Increment.t) ->
+    done
+  in
+  (* Slots that still hold interesting pointers are re-recorded
+     immediately when their target stays put, after the slide when it
+     is in a compacting increment. *)
+  let dirty incs =
+    Array.iter
+      (fun (inc : Increment.t) ->
         Increment.iter_objects inc mem (fun obj ->
             let n = Memory.unsafe_get mem obj lsr 1 in
             for slot = obj + 1 to obj + 1 + n do
               let v = Memory.unsafe_get mem slot in
               if Value.is_ref v then begin
-                incr remset_slots;
+                c.remset_slots <- c.remset_slots + 1;
                 trace v;
                 let tf = Value.to_addr v lsr frame_log in
                 let tm = Frame_table.meta ftab tf in
@@ -1201,81 +1098,56 @@ let collect_mark st plan ~compact =
                 else re_remember ~slot ~src:(slot lsr frame_log) ~tgt:tf
               end
             done))
-      incs_to_scan;
-    phase Gc_stats.Phase_cards false);
+      incs
+  in
 
   (* Mark drain. Under the sweep, surviving slots re-apply the barrier
      predicate here, under the (final) promoted stamps — the in-place
      analogue of the copying scan's re-recording. The compactor defers
      it to after the slide: both the slots and their targets move. *)
-  phase Gc_stats.Phase_mark true;
-  while not (Vec.is_empty stack) do
-    let obj = Vec.pop stack in
-    let n = Memory.unsafe_get mem obj lsr 1 in
-    for slot = obj + 1 to obj + 1 + n do
-      let v = Memory.unsafe_get mem slot in
-      if Value.is_ref v then begin
-        incr scanned_slots;
-        trace v;
-        if not compact then
-          re_remember ~slot ~src:(slot lsr frame_log)
-            ~tgt:(Value.to_addr v lsr frame_log)
-      end
+  let mark () =
+    while not (Vec.is_empty stack) do
+      let obj = Vec.pop stack in
+      let n = Memory.unsafe_get mem obj lsr 1 in
+      for slot = obj + 1 to obj + 1 + n do
+        let v = Memory.unsafe_get mem slot in
+        if Value.is_ref v then begin
+          c.scanned_slots <- c.scanned_slots + 1;
+          trace v;
+          if not compact then
+            re_remember ~slot ~src:(slot lsr frame_log)
+              ~tgt:(Value.to_addr v lsr frame_log)
+        end
+      done
     done
-  done;
-  phase Gc_stats.Phase_mark false;
+  in
 
   (* Free one frame of a surviving increment (wholly dead, or vacated
-     by the slide): the same per-frame bookkeeping [State.free_increment]
-     does, minus the increment-level teardown. *)
-  let free_frame_now (inc : Increment.t) frame =
-    Remset.drop_frame st.State.remsets frame;
-    Card_table.clear st.State.cards ~frame;
-    Frame_table.clear ftab ~frame;
-    Memory.free_frame mem frame;
-    st.State.frames_used <- st.State.frames_used - 1;
-    incr freed_frames;
-    match st.State.hooks with
-    | [] -> ()
-    | hs ->
-      List.iter (fun h -> h.State.on_frame_free ~frame ~belt:inc.Increment.belt) hs
+     by the slide). *)
+  let free_frame (inc : Increment.t) frame =
+    State.free_frame st inc frame;
+    c.freed_frames <- c.freed_frames + 1
   in
   (* Pinned increments are retained in place when their object was
      reached, released otherwise — the same either way; the compactor
      additionally re-records the retained object's slots once every
      target has its final address ([rescan]). *)
   let finish_pinned ~rescan (inc : Increment.t) =
-    if Memory.marked mem (Increment.base_object inc mem) then begin
-      if rescan then begin
-        let obj = Increment.base_object inc mem in
-        let n = Memory.unsafe_get mem obj lsr 1 in
-        for slot = obj + 1 to obj + 1 + n do
-          let v = Memory.unsafe_get mem slot in
-          if Value.is_ref v then
-            re_remember ~slot ~src:(slot lsr frame_log)
-              ~tgt:(Value.to_addr v lsr frame_log)
-        done
-      end;
-      inc.Increment.in_plan <- false;
-      Vec.iter
-        (fun f -> Frame_table.set_in_plan ftab ~frame:f false)
-        inc.Increment.frames
+    let obj = Increment.base_object inc mem in
+    if Memory.marked mem obj then begin
+      if rescan then re_remember_object obj;
+      unplan ftab inc
     end
-    else begin
-      freed_frames := !freed_frames + Increment.occupancy_frames inc;
-      State.free_increment st inc
-    end
+    else release st c inc
   in
 
-  if not compact then begin
-    (* Sweep: rebuild each increment in place. Adjacent dead objects
-       coalesce into one filler per run — an even header and odd
-       (immediate) payload words, so object walks parse it and slot
-       walks skip it — pushed onto the increment's free list. Frames
-       with no survivor are returned individually, and the increment
-       is unsealed so the mutator can bump its tail and refill its
-       holes. *)
-    phase Gc_stats.Phase_sweep true;
+  (* Sweep: rebuild each increment in place. Adjacent dead objects
+     coalesce into one filler per run — an even header and odd
+     (immediate) payload words, so object walks parse it and slot
+     walks skip it — pushed onto the increment's free list. Frames
+     with no survivor are returned individually, and the increment is
+     unsealed so the mutator can bump its tail and refill its holes. *)
+  let sweep () =
     List.iter
       (fun (inc : Increment.t) ->
         if inc.Increment.pinned then finish_pinned ~rescan:false inc
@@ -1296,10 +1168,7 @@ let collect_mark st plan ~compact =
               a := !a + (Memory.unsafe_get mem !a lsr 1) + Object_model.header_words
             done
           done;
-          if not !any_live then begin
-            freed_frames := !freed_frames + Increment.occupancy_frames inc;
-            State.free_increment st inc
-          end
+          if not !any_live then release st c inc
           else begin
             Increment.clear_free_list inc;
             let kept_frames = Vec.create ~dummy:0 () in
@@ -1308,7 +1177,7 @@ let collect_mark st plan ~compact =
             let fillers = ref 0 in
             for fi = 0 to nframes - 1 do
               let frame = Vec.get inc.Increment.frames fi in
-              if not keep.(fi) then free_frame_now inc frame
+              if not keep.(fi) then free_frame inc frame
               else begin
                 let used = Increment.used_of_frame inc mem fi in
                 let base = Memory.frame_base mem frame in
@@ -1336,7 +1205,7 @@ let collect_mark st plan ~compact =
                   end
                   else begin
                     if !run_start = Addr.null then run_start := !a;
-                    swept_words := !swept_words + size;
+                    c.swept_words <- c.swept_words + size;
                     (* Dead in a surviving frame: reported here. Dead
                        objects in a freed frame die with the frame
                        ([on_frame_free]), never both. *)
@@ -1369,31 +1238,26 @@ let collect_mark st plan ~compact =
             inc.Increment.words_used <- !words;
             inc.Increment.objects <- !live + !fillers;
             inc.Increment.sealed <- false;
-            inc.Increment.in_plan <- false;
-            Vec.iter
-              (fun f -> Frame_table.set_in_plan ftab ~frame:f false)
-              inc.Increment.frames
+            unplan ftab inc
           end
         end)
-      plan.increments;
-    phase Gc_stats.Phase_sweep false
-  end
-  else begin
-    (* Threaded compaction (Jonkers): every reference to a moving
-       object is threaded into a chain hanging off the target's
-       header; two passes over the compacting increments in one fixed
-       total order (plan order, stream order within an increment)
-       first compute destination addresses and unthread the already
-       recorded referrers, then slide the objects and unthread the
-       rest. Both passes recompute the same destination cursor — the
-       survivors packed into the increment's own frames in order,
-       advancing at a frame seam exactly when the object would not
-       fit the remainder. The original packing obeyed the same rule,
-       so within any frame the destination never overtakes the
-       source and [Memory.blit]'s forward copy is safe; across
-       frames, source and destination never alias. *)
-    phase Gc_stats.Phase_compact true;
+      plan.increments
+  in
 
+  (* Threaded compaction (Jonkers): every reference to a moving object
+     is threaded into a chain hanging off the target's header; two
+     passes over the compacting increments in one fixed total order
+     (plan order, stream order within an increment) first compute
+     destination addresses and unthread the already recorded
+     referrers, then slide the objects and unthread the rest. Both
+     passes recompute the same destination cursor — the survivors
+     packed into the increment's own frames in order, advancing at a
+     frame seam exactly when the object would not fit the remainder.
+     The original packing obeyed the same rule, so within any frame
+     the destination never overtakes the source and [Memory.blit]'s
+     forward copy is safe; across frames, source and destination never
+     alias. *)
+  let compact_plan () =
     (* Fields of retained pinned objects point into compacting
        increments by address; collect them with the external slots
        (deduplicated) so they are threaded and re-recorded too. *)
@@ -1448,51 +1312,56 @@ let collect_mark st plan ~compact =
        simulated heap and cannot be threaded — the one deviation from
        pure threading. Only movers are recorded. *)
     let old_new : (int, int) Hashtbl.t = Hashtbl.create 256 in
-    (* Destination frame count per increment, decided by pass one. *)
+    (* Destination frame count per increment, decided by pass one;
+       zero when nothing survives. *)
     let live_frames : (int, int) Hashtbl.t = Hashtbl.create 16 in
 
-    (* Pass one. *)
-    List.iter
-      (fun (inc : Increment.t) ->
-        let nframes = Increment.frame_count inc in
-        let dfi = ref 0 in
-        let daddr = ref Addr.null in
-        let dlimit = ref Addr.null in
-        if nframes > 0 then begin
-          daddr := Memory.frame_base mem (Vec.get inc.Increment.frames 0);
-          dlimit := !daddr + frame_words
-        end;
-        let any = ref false in
-        for fi = 0 to nframes - 1 do
-          let base = Memory.frame_base mem (Vec.get inc.Increment.frames fi) in
-          let extent = base + Increment.used_of_frame inc mem fi in
-          let a = ref base in
-          while !a < extent do
-            if Memory.marked mem !a then begin
-              any := true;
-              let h = threaded_header !a in
-              let size = (h lsr 1) + Object_model.header_words in
-              if !daddr + size > !dlimit then begin
-                incr dfi;
-                daddr := Memory.frame_base mem (Vec.get inc.Increment.frames !dfi);
-                dlimit := !daddr + frame_words
-              end;
-              let dst = !daddr in
-              daddr := dst + size;
-              if dst <> !a then Hashtbl.replace old_new !a dst;
-              (* Unthread: referrers recorded so far (external slots,
-                 and fields of objects earlier in the order) learn the
-                 new address; the original header comes back. *)
-              let w = ref (Memory.unsafe_get mem !a) in
-              while !w land 1 = 1 do
-                let s = !w lsr 1 in
-                w := Memory.unsafe_get mem s;
-                Memory.unsafe_set mem s (Value.of_addr dst)
-              done;
-              Memory.unsafe_set mem !a !w;
-              (* Thread this object's own references to movers (a
-                 self-reference threads into this object's own chain
-                 and resolves in pass two, before the slide). *)
+    (* Both passes walk [inc]'s survivors in stream order, place each
+       with the same cursor and unthread it: referrers recorded so far
+       learn the new address, and the original header comes back.
+       Pass one then threads the object's own references to movers (a
+       self-reference resolves in pass two, before the slide); pass
+       two ([slide]) slides it, counts the dead in the first [m]
+       frames, and pushes each destination frame's extent. Returns
+       survivors, destination frames and the final cursor. *)
+    let walk ~slide ~m (inc : Increment.t) extents =
+      let nframes = Increment.frame_count inc in
+      let dfi = ref 0 in
+      let daddr = ref Addr.null in
+      let dlimit = ref Addr.null in
+      if nframes > 0 then begin
+        daddr := Memory.frame_base mem (Vec.get inc.Increment.frames 0);
+        dlimit := !daddr + frame_words
+      end;
+      let live = ref 0 in
+      for fi = 0 to nframes - 1 do
+        let base = Memory.frame_base mem (Vec.get inc.Increment.frames fi) in
+        let extent = base + Increment.used_of_frame inc mem fi in
+        let a = ref base in
+        while !a < extent do
+          if Memory.marked mem !a then begin
+            incr live;
+            let h = threaded_header !a in
+            let size = (h lsr 1) + Object_model.header_words in
+            if !daddr + size > !dlimit then begin
+              if slide then
+                Vec.push extents
+                  (!daddr - Memory.frame_base mem (Vec.get inc.Increment.frames !dfi));
+              incr dfi;
+              daddr := Memory.frame_base mem (Vec.get inc.Increment.frames !dfi);
+              dlimit := !daddr + frame_words
+            end;
+            let dst = !daddr in
+            daddr := dst + size;
+            if (not slide) && dst <> !a then Hashtbl.replace old_new !a dst;
+            let w = ref (Memory.unsafe_get mem !a) in
+            while !w land 1 = 1 do
+              let s = !w lsr 1 in
+              w := Memory.unsafe_get mem s;
+              Memory.unsafe_set mem s (Value.of_addr dst)
+            done;
+            Memory.unsafe_set mem !a !w;
+            if not slide then begin
               let n = !w lsr 1 in
               for slot = !a + 1 to !a + 1 + n do
                 let v = Memory.unsafe_get mem slot in
@@ -1505,93 +1374,57 @@ let collect_mark st plan ~compact =
                     Memory.unsafe_set mem tgt ((slot lsl 1) lor 1)
                   end
                 end
-              done;
-              a := !a + size
+              done
             end
-            else
-              a :=
-                !a + (Memory.unsafe_get mem !a lsr 1) + Object_model.header_words
-          done
-        done;
-        Hashtbl.replace live_frames inc.Increment.id (if !any then !dfi + 1 else 0))
+            else if dst <> !a then begin
+              Memory.blit mem ~src:!a ~dst ~len:size;
+              c.moved_words <- c.moved_words + size;
+              match st.State.hooks with
+              | [] -> ()
+              | hs -> List.iter (fun h -> h.State.on_move ~src:!a ~dst) hs
+            end;
+            a := !a + size
+          end
+          else begin
+            let size = (Memory.unsafe_get mem !a lsr 1) + Object_model.header_words in
+            if slide && fi < m then begin
+              (* Dying inside a surviving frame: reported here. A dead
+                 object in a vacated frame dies with the frame
+                 ([on_frame_free]), never both. *)
+              c.swept_words <- c.swept_words + size;
+              hook_object_dead ~addr:!a ~words:size
+            end;
+            a := !a + size
+          end
+        done
+      done;
+      if slide then
+        Vec.push extents
+          (!daddr - Memory.frame_base mem (Vec.get inc.Increment.frames !dfi));
+      (!live, !dfi + 1, !daddr)
+    in
+    let no_extents = Vec.create ~dummy:0 () in
+    List.iter
+      (fun (inc : Increment.t) ->
+        let live, frames, _ = walk ~slide:false ~m:0 inc no_extents in
+        Hashtbl.replace live_frames inc.Increment.id (if live > 0 then frames else 0))
       compacting;
 
-    (* Pass two: the same walk and the same destination computation;
-       unthread the remaining referrers (slots of objects later in the
-       order — not yet moved — or of this object itself), restore the
-       header, slide, and rebuild the increment over its survivor
-       prefix. Finishing each increment here is sound: all of its
-       slots already hold final values (forward references were
-       resolved by pass one, which ran to completion everywhere). *)
+    (* Pass two, then rebuild the increment over its survivor prefix.
+       Finishing each increment here is sound: all of its slots already
+       hold final values (forward references were resolved by pass
+       one, which ran to completion everywhere). *)
     List.iter
       (fun (inc : Increment.t) ->
         let m = Hashtbl.find live_frames inc.Increment.id in
-        if m = 0 then begin
-          freed_frames := !freed_frames + Increment.occupancy_frames inc;
-          State.free_increment st inc
-        end
+        if m = 0 then release st c inc
         else begin
           let nframes = Increment.frame_count inc in
-          let dfi = ref 0 in
-          let daddr = ref (Memory.frame_base mem (Vec.get inc.Increment.frames 0)) in
-          let dlimit = ref (!daddr + frame_words) in
           let extents = Vec.create ~dummy:0 () in
-          let live = ref 0 in
-          for fi = 0 to nframes - 1 do
-            let base = Memory.frame_base mem (Vec.get inc.Increment.frames fi) in
-            let extent = base + Increment.used_of_frame inc mem fi in
-            let a = ref base in
-            while !a < extent do
-              if Memory.marked mem !a then begin
-                let h = threaded_header !a in
-                let size = (h lsr 1) + Object_model.header_words in
-                if !daddr + size > !dlimit then begin
-                  Vec.push extents
-                    (!daddr
-                    - Memory.frame_base mem (Vec.get inc.Increment.frames !dfi));
-                  incr dfi;
-                  daddr := Memory.frame_base mem (Vec.get inc.Increment.frames !dfi);
-                  dlimit := !daddr + frame_words
-                end;
-                let dst = !daddr in
-                daddr := dst + size;
-                let w = ref (Memory.unsafe_get mem !a) in
-                while !w land 1 = 1 do
-                  let s = !w lsr 1 in
-                  w := Memory.unsafe_get mem s;
-                  Memory.unsafe_set mem s (Value.of_addr dst)
-                done;
-                Memory.unsafe_set mem !a !w;
-                incr live;
-                if dst <> !a then begin
-                  Memory.blit mem ~src:!a ~dst ~len:size;
-                  moved_words := !moved_words + size;
-                  match st.State.hooks with
-                  | [] -> ()
-                  | hs -> List.iter (fun h -> h.State.on_move ~src:!a ~dst) hs
-                end;
-                a := !a + size
-              end
-              else begin
-                let size =
-                  (Memory.unsafe_get mem !a lsr 1) + Object_model.header_words
-                in
-                if fi < m then begin
-                  (* Dying inside a surviving frame: reported here. A
-                     dead object in a vacated frame dies with the
-                     frame ([on_frame_free]), never both. *)
-                  swept_words := !swept_words + size;
-                  hook_object_dead ~addr:!a ~words:size
-                end;
-                a := !a + size
-              end
-            done
-          done;
-          Vec.push extents
-            (!daddr - Memory.frame_base mem (Vec.get inc.Increment.frames !dfi));
+          let live, _, cursor = walk ~slide:true ~m inc extents in
           (* Free the vacated tail, rebuild the survivor prefix. *)
           for fi = nframes - 1 downto m do
-            free_frame_now inc (Vec.get inc.Increment.frames fi)
+            free_frame inc (Vec.get inc.Increment.frames fi)
           done;
           Vec.truncate inc.Increment.frames m;
           Vec.clear inc.Increment.frame_used;
@@ -1601,7 +1434,7 @@ let collect_mark st plan ~compact =
             words := !words + u;
             if i < m - 1 then Vec.push inc.Increment.frame_used u
           done;
-          inc.Increment.cursor <- !daddr;
+          inc.Increment.cursor <- cursor;
           inc.Increment.limit <-
             Memory.frame_base mem (Vec.get inc.Increment.frames (m - 1))
             + frame_words;
@@ -1612,13 +1445,10 @@ let collect_mark st plan ~compact =
               ~len:(inc.Increment.limit - inc.Increment.cursor)
               0;
           inc.Increment.words_used <- !words;
-          inc.Increment.objects <- !live;
+          inc.Increment.objects <- live;
           Increment.clear_free_list inc;
           inc.Increment.sealed <- false;
-          inc.Increment.in_plan <- false;
-          Vec.iter
-            (fun f -> Frame_table.set_in_plan ftab ~frame:f false)
-            inc.Increment.frames;
+          unplan ftab inc;
           (* Re-apply the barrier predicate over the compacted stream
              (the in-place analogue of the copying scan's
              re-recording): every slot here is final. *)
@@ -1627,14 +1457,8 @@ let collect_mark st plan ~compact =
             let extent = base + Vec.get extents i in
             let a = ref base in
             while !a < extent do
-              let n = Memory.unsafe_get mem !a lsr 1 in
-              for slot = !a + 1 to !a + 1 + n do
-                let v = Memory.unsafe_get mem slot in
-                if Value.is_ref v then
-                  re_remember ~slot ~src:(slot lsr frame_log)
-                    ~tgt:(Value.to_addr v lsr frame_log)
-              done;
-              a := !a + n + Object_model.header_words
+              re_remember_object !a;
+              a := !a + (Memory.unsafe_get mem !a lsr 1) + Object_model.header_words
             done
           done
         end)
@@ -1664,54 +1488,27 @@ let collect_mark st plan ~compact =
         if Value.is_ref v then
           re_remember ~slot ~src:(slot lsr frame_log)
             ~tgt:(Value.to_addr v lsr frame_log))
-      ext_slots;
-    phase Gc_stats.Phase_compact false
-  end;
-
-  st.State.in_gc <- false;
-  if plan.full_heap then st.State.live_est_frames <- st.State.frames_used;
-  let record : Gc_stats.collection =
-    {
-      Gc_stats.n = Gc_stats.gcs st.State.stats;
-      reason = plan.reason;
-      emergency = plan.emergency;
-      clock_words = st.State.stats.Gc_stats.words_allocated;
-      plan_incs = pi;
-      plan_frames = pf;
-      plan_words = pw;
-      full_heap = plan.full_heap;
-      copied_words = 0;
-      copied_objects = 0;
-      scanned_slots = !scanned_slots;
-      remset_slots = !remset_slots;
-      roots_scanned = !roots_scanned;
-      marked_objects = !marked_objects;
-      marked_words = !marked_words;
-      swept_words = !swept_words;
-      moved_words = !moved_words;
-      freed_frames = !freed_frames;
-      heap_frames_after = st.State.frames_used;
-      reserve_frames = Copy_reserve.frames st;
-    }
+      ext_slots
   in
-  Gc_stats.record_collection st.State.stats record;
-  (match st.State.hooks with
-  | [] -> ()
-  | hs ->
-    List.iter
-      (fun h ->
-        h.State.on_reserve ~frames:record.Gc_stats.reserve_frames;
-        h.State.on_collect_end ~full_heap:plan.full_heap)
-      hs);
-  record
+  {
+    roots;
+    remembered;
+    dirty;
+    trace_phase = Gc_stats.Phase_mark;
+    trace = mark;
+    settle = ignore;
+    reclaim_phase = (if compact then Gc_stats.Phase_compact else Gc_stats.Phase_sweep);
+    reclaim = (if compact then compact_plan else sweep);
+    reports = no_reports;
+  }
 
-(* The strategy dispatch. The copying strategy is the pre-existing
-   collector verbatim (sequential or parallel by fan-out); the
-   in-place strategies are sequential by construction and rejected at
-   configuration time for [gc_domains > 1]. *)
+(* The strategy dispatch, once per collection. The in-place strategies
+   are sequential by construction and rejected at configuration time
+   for [gc_domains > 1]. *)
 let collect st plan =
-  match st.State.strategy.State.strategy_kind with
-  | State.Strategy_copying ->
-    if st.State.gc_domains <= 1 then collect_seq st plan else collect_par st plan
-  | State.Strategy_marksweep -> collect_mark st plan ~compact:false
-  | State.Strategy_markcompact -> collect_mark st plan ~compact:true
+  run st plan
+    (match st.State.strategy.State.strategy_kind with
+    | State.Strategy_copying ->
+      if st.State.gc_domains <= 1 then cheney_drain else parallel_drain
+    | State.Strategy_marksweep -> mark_drain ~compact:false
+    | State.Strategy_markcompact -> mark_drain ~compact:true)

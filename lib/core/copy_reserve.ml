@@ -67,8 +67,11 @@ let half_frames st = (st.State.heap_frames / 2) + pad st
    (the paper: the reserve "grows until it is finally half of the heap,
    so that the third belt occupancy and the copy reserve are equal in
    size"). *)
-(* The installed reclamation strategy owns the reserve: the copying
+(* The installed reclamation strategy decides the reserve: the copying
    strategy delegates to the installed policy's rule (the formulas
    above, verbatim), the in-place strategies need no destination
    frames and return zero. *)
-let frames st = st.State.strategy.State.strategy_reserve st
+let frames st =
+  match st.State.strategy.State.strategy_kind with
+  | State.Strategy_copying -> st.State.policy.State.reserve_frames st
+  | State.Strategy_marksweep | State.Strategy_markcompact -> 0

@@ -26,7 +26,7 @@ let feasible st plan =
   (* In-place strategies reclaim without destination frames: every
      plan is feasible (the whole point of running without a copy
      reserve). *)
-  (not st.State.strategy.State.strategy_needs_reserve)
+  (not (Strategy.needs_reserve st.State.strategy.State.strategy_kind))
   || Collector.evacuation_frames plan
      + (Array.length st.State.belts * st.State.gc_domains)
      <= State.free_frames st
@@ -147,7 +147,7 @@ let alloc_large st ~size =
    cadence (time-to-die, nursery bounds) is untouched. *)
 let fit_fallback st ~size =
   if
-    st.State.strategy.State.strategy_needs_reserve
+    Strategy.needs_reserve st.State.strategy.State.strategy_kind
     || State.free_frames st > 0
   then None
   else begin

@@ -102,15 +102,21 @@ type alloc_action =
 
 (* The reclamation-strategy descriptor: how the increments of a plan
    are reclaimed, orthogonal to the policy (which decides *what* to
-   collect and when). Like [policy], the record lives here because its
-   closure consumes the state that stores it; [Strategy] constructs
-   the records and owns the registry, and [Collector] interprets the
-   kind. Plain data ([strategy_kind], the booleans) is read per
-   collection; only the reserve rule is a closure. *)
+   collect and when). It is plain data: [Strategy] owns the registry
+   and derives every property (moving, reserve, parallel) from the
+   kind, [Copy_reserve] the reserve rule, and [Collector] the drain. *)
 type strategy_kind =
   | Strategy_copying  (** Cheney evacuation (the pre-strategy collector) *)
   | Strategy_marksweep  (** mark bitmap + free-list sweep, in place *)
   | Strategy_markcompact  (** mark bitmap + threaded slide, in place *)
+
+type strategy = {
+  strategy_name : string;  (** registry key, for reporting *)
+  strategy_kind : strategy_kind;
+}
+
+let copying_strategy =
+  { strategy_name = "copying"; strategy_kind = Strategy_copying }
 
 type t = {
   mem : Memory.t;
@@ -189,33 +195,6 @@ and policy = {
       (** hook run when no open nursery increment exists, before a new
           one is created (BOF: flip the belts) *)
 }
-
-and strategy = {
-  strategy_name : string;  (** registry key, for reporting *)
-  strategy_kind : strategy_kind;
-  strategy_moving : bool;
-      (** whether surviving objects change address (copying: across
-          frames; mark-compact: within the increment's own frames) *)
-  strategy_needs_reserve : bool;
-      (** whether collections need destination frames up front (the
-          schedule's feasibility test and the heap-full trigger) *)
-  strategy_parallel : bool;
-      (** whether the strategy supports the sharded [gc_domains > 1]
-          drain; non-parallel strategies are rejected at setup *)
-  strategy_reserve : t -> int;
-      (** reserve frames to hold back; the copying strategy delegates
-          to the installed policy's rule verbatim *)
-}
-
-let copying_strategy =
-  {
-    strategy_name = "copying";
-    strategy_kind = Strategy_copying;
-    strategy_moving = true;
-    strategy_needs_reserve = true;
-    strategy_parallel = true;
-    strategy_reserve = (fun st -> st.policy.reserve_frames st);
-  }
 
 let create ?(strategy = copying_strategy) ~config ~policy ~heap_frames
     ~frame_log_words () =
@@ -440,19 +419,18 @@ let open_inc t ~belt =
     inc
   | _ -> new_increment t ~belt
 
+let free_frame t inc frame =
+  Remset.drop_frame t.remsets frame;
+  Card_table.clear t.cards ~frame;
+  Frame_table.clear t.ftab ~frame;
+  Memory.free_frame t.mem frame;
+  t.frames_used <- t.frames_used - 1;
+  match t.hooks with
+  | [] -> ()
+  | hs -> List.iter (fun h -> h.on_frame_free ~frame ~belt:inc.Increment.belt) hs
+
 let free_increment t inc =
-  Beltway_util.Vec.iter
-    (fun frame ->
-      Remset.drop_frame t.remsets frame;
-      Card_table.clear t.cards ~frame;
-      Frame_table.clear t.ftab ~frame;
-      Memory.free_frame t.mem frame;
-      t.frames_used <- t.frames_used - 1;
-      match t.hooks with
-      | [] -> ()
-      | hs ->
-        List.iter (fun h -> h.on_frame_free ~frame ~belt:inc.Increment.belt) hs)
-    inc.Increment.frames;
+  Beltway_util.Vec.iter (free_frame t inc) inc.Increment.frames;
   Belt.remove t.belts.(inc.Increment.belt) inc;
   Hashtbl.remove t.incs_by_id inc.Increment.id;
   t.inc_by_id.(inc.Increment.id) <- None

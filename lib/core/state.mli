@@ -148,15 +148,26 @@ type alloc_action =
     A {!strategy} record owns *how* a plan's increments are reclaimed —
     Cheney evacuation, bitmap mark-sweep, or threaded mark-compact —
     orthogonal to the {!policy}, which owns what to collect and when.
-    Like [policy], the type lives here because its closure consumes the
-    state that stores it; [Strategy] constructs the records and owns
-    the registry, and [Collector] dispatches on {!strategy_kind} once
-    per collection. *)
+    The record is plain data: [Strategy] owns the registry and derives
+    each property of a kind ([Strategy.moving], [needs_reserve],
+    [parallel]), [Copy_reserve.frames] the reserve rule, and
+    [Collector] dispatches on {!strategy_kind} once per collection. *)
 
 type strategy_kind =
   | Strategy_copying  (** Cheney evacuation (the pre-strategy collector) *)
   | Strategy_marksweep  (** mark bitmap + free-list sweep, in place *)
   | Strategy_markcompact  (** mark bitmap + threaded slide, in place *)
+
+type strategy = {
+  strategy_name : string;  (** registry key, for reporting *)
+  strategy_kind : strategy_kind;
+}
+
+val copying_strategy : strategy
+(** The Cheney-evacuation strategy: exactly the pre-strategy collector
+    (its reserve rule is the installed policy's, its drain the
+    sequential/parallel copy loop), so every pre-strategy
+    configuration behaves byte-identically. *)
 
 type t = {
   mem : Memory.t;
@@ -246,29 +257,6 @@ and policy = {
           is created (BOF: flip the belts) *)
 }
 
-and strategy = {
-  strategy_name : string;  (** registry key, for reporting *)
-  strategy_kind : strategy_kind;
-  strategy_moving : bool;
-      (** whether surviving objects change address (copying: across
-          frames; mark-compact: within the increment's own frames) *)
-  strategy_needs_reserve : bool;
-      (** whether collections need destination frames up front (the
-          schedule's feasibility test and the heap-full trigger) *)
-  strategy_parallel : bool;
-      (** whether the strategy supports the sharded [gc_domains > 1]
-          drain; non-parallel strategies are rejected at setup *)
-  strategy_reserve : t -> int;
-      (** reserve frames to hold back; the copying strategy delegates
-          to the installed policy's rule verbatim *)
-}
-
-val copying_strategy : strategy
-(** The Cheney-evacuation strategy: exactly the pre-strategy collector
-    (its reserve rule is the installed policy's, its drain the
-    untouched sequential/parallel copy loop), so every pre-strategy
-    configuration behaves byte-identically. *)
-
 val add_hooks : t -> hooks -> unit
 (** Install an observation hook set (appended; hooks fire in
     installation order). *)
@@ -349,6 +337,12 @@ val open_inc : t -> belt:int -> Increment.t
 (** The back increment of the belt if it can still receive objects and
     is not in the current plan (its [in_plan] flag); otherwise a fresh
     increment. *)
+
+val free_frame : t -> Increment.t -> int -> unit
+(** Return one frame of the increment to the budget: its remsets, card
+    and frame metadata dropped, [on_frame_free] fired. The increment's
+    own frame list is left to the caller (the in-place reclaims free
+    dead or vacated frames of an increment that survives). *)
 
 val free_increment : t -> Increment.t -> unit
 (** Release a collected increment: frames returned, frame metadata and

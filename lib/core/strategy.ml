@@ -1,34 +1,39 @@
 (* The reclamation-strategy registry: how a plan's increments are
    reclaimed, orthogonal to [Policy] (what to collect and when). The
-   [State.strategy] record type lives in [State] for the same
-   mutual-recursion-by-placement reason as [State.policy]; this module
-   constructs the records, owns the registry and resolves config
-   strings, exactly mirroring [Policy]. [Collector] interprets the
-   installed record's [strategy_kind] once per collection. *)
+   [State.strategy] record is plain data (a name and a kind) and lives
+   in [State] beside [State.policy]; this module constructs the
+   records, owns the registry and resolves config strings, exactly
+   mirroring [Policy], and derives each property of a kind.
+   [Collector] interprets the installed record's [strategy_kind] once
+   per collection. *)
 
 let copying = State.copying_strategy
 
 let marksweep =
-  {
-    State.strategy_name = "marksweep";
-    strategy_kind = State.Strategy_marksweep;
-    strategy_moving = false;
-    strategy_needs_reserve = false;
-    strategy_parallel = false;
-    strategy_reserve = (fun _ -> 0);
-  }
+  { State.strategy_name = "marksweep"; strategy_kind = State.Strategy_marksweep }
 
 let markcompact =
   {
     State.strategy_name = "markcompact";
     strategy_kind = State.Strategy_markcompact;
-    (* Moving, but strictly within the increment's own frames (a
-       slide), so no destination frames are reserved. *)
-    strategy_moving = true;
-    strategy_needs_reserve = false;
-    strategy_parallel = false;
-    strategy_reserve = (fun _ -> 0);
   }
+
+(* ---- properties of a kind ------------------------------------------ *)
+
+(* Mark-compact moves survivors, but strictly within the increment's
+   own frames (a slide), so only copying needs destination frames. *)
+let moving = function
+  | State.Strategy_copying | State.Strategy_markcompact -> true
+  | State.Strategy_marksweep -> false
+
+let needs_reserve = function
+  | State.Strategy_copying -> true
+  | State.Strategy_marksweep | State.Strategy_markcompact -> false
+
+(* Only the Cheney drain is sharded over [gc_domains > 1]. *)
+let parallel = function
+  | State.Strategy_copying -> true
+  | State.Strategy_marksweep | State.Strategy_markcompact -> false
 
 (* ---- registry ------------------------------------------------------ *)
 
@@ -107,7 +112,7 @@ let resolve_exn cfg =
 (* ---- parallel-drain compatibility ---------------------------------- *)
 
 let check_domains (s : State.strategy) ~gc_domains =
-  if gc_domains <= 1 || s.State.strategy_parallel then Ok ()
+  if gc_domains <= 1 || parallel s.State.strategy_kind then Ok ()
   else
     Error
       (Printf.sprintf

@@ -27,6 +27,19 @@ val markcompact : State.strategy
     [Memory.blit]; empty tail frames are freed. Needs zero copy
     reserve. *)
 
+val moving : State.strategy_kind -> bool
+(** Whether surviving objects change address: copying (across frames)
+    and mark-compact (within the increment's own frames). *)
+
+val needs_reserve : State.strategy_kind -> bool
+(** Whether collections need destination frames up front: the
+    schedule's feasibility test and the heap-full trigger. Copying
+    only. *)
+
+val parallel : State.strategy_kind -> bool
+(** Whether collections may shard over [gc_domains > 1] (the parallel
+    Cheney drain). Copying only. *)
+
 type info = {
   key : string;  (** registry name *)
   strategy : State.strategy;

@@ -288,6 +288,20 @@ let test_dump_is_stable () =
   checkb "dump mentions code section" true
     (String.length dump > 0 && String.index_opt dump '\n' <> None)
 
+let test_dump_every_program () =
+  (* jcmp-false carries the compiler's negate bit in its C operand;
+     every bundled program must disassemble without raising *)
+  List.iter
+    (fun (p : Programs.t) ->
+      let bc =
+        Compile.compile (Ast.compile (Sexp.parse_string p.Programs.source))
+      in
+      let buf = Buffer.create 4096 in
+      let fmt = Format.formatter_of_buffer buf in
+      Format.fprintf fmt "%a@?" Bytecode.pp bc;
+      checkb (p.Programs.name ^ ": disassembles") true (Buffer.length buf > 0))
+    Programs.all
+
 (* ---- operand limits ---- *)
 
 let deep_lambda_nest n =
@@ -326,6 +340,7 @@ let suite =
     ("fixed regressions: vm == interp", `Quick, test_regressions);
     ("compiled streams walk exactly", `Quick, test_compile_shapes);
     ("disassembly smoke", `Quick, test_dump_is_stable);
+    ("disassembly of every bundled program", `Quick, test_dump_every_program);
     ("operand limit: hops overflow", `Quick, test_limit_hops);
     ("operand limit: within budget", `Quick, test_limit_within);
     Prop.to_alcotest differential_prop;

@@ -220,23 +220,48 @@ let test_crosscheck_real_run () =
   checkb "shares are fractions" true
     (d.Mmu.mean_share_dev >= 0.0 && d.Mmu.max_share_dev <= 1.0)
 
-(* ---- phase-span balance (property, raw hooks) ---- *)
+(* ---- phase-span balance and order (raw hooks) ---- *)
 
 (* Every phase-span begin must have a matching end, strictly inside
    its collection's start/end pair — the invariant the recorder's span
-   reconstruction and the profiler's sampling both lean on. Checked
-   with raw hooks (no observer in between) across a config grid and
-   every registered policy's exemplar configuration. *)
+   reconstruction and the profiler's sampling both lean on. Each
+   collection must also run the pipeline's phases in order: roots, the
+   remembered slots or dirty cards (per the barrier), the grey-set
+   drain (Cheney or mark, per the strategy), then the reclaim (frame
+   free, sweep or compact); and [on_gc_domains] fires once, before the
+   collection ends, exactly when more than one domain collects.
+   Checked with raw hooks (no observer in between) across a config
+   grid, every registered policy's and strategy's exemplar
+   configuration, and copying on two domains. *)
 let test_phase_span_balance () =
   let exemplars =
     List.map (fun (name, _) -> Beltway.Policy.exemplar name)
       Beltway.Policy.registry
+    @ List.map Beltway.Strategy.exemplar [ "marksweep"; "markcompact" ]
   in
   List.iter
-    (fun config_str ->
-      let gc = Gc.create ~config:(cfg config_str) ~heap_bytes:(256 * 1024) () in
+    (fun (config_str, gc_domains) ->
+      let label = Printf.sprintf "%s @ %d domain(s)" config_str gc_domains in
+      let gc =
+        Gc.create ~config:(cfg config_str) ~gc_domains ~heap_bytes:(256 * 1024) ()
+      in
       let st = Gc.state gc in
+      let expected =
+        [
+          Gc_stats.Phase_roots;
+          (match st.State.policy.State.barrier with
+          | State.Barrier_cards -> Gc_stats.Phase_cards
+          | State.Barrier_remsets _ -> Gc_stats.Phase_remset);
+        ]
+        @
+        match st.State.strategy.State.strategy_kind with
+        | State.Strategy_copying -> [ Gc_stats.Phase_cheney; Gc_stats.Phase_free ]
+        | State.Strategy_marksweep -> [ Gc_stats.Phase_mark; Gc_stats.Phase_sweep ]
+        | State.Strategy_markcompact ->
+          [ Gc_stats.Phase_mark; Gc_stats.Phase_compact ]
+      in
       let in_gc = ref false and open_spans = Hashtbl.create 8 in
+      let entered = ref [] and domain_reports = ref 0 in
       let collect_ends = ref 0 in
       let bad = ref [] in
       let fail fmt = Printf.ksprintf (fun m -> bad := m :: !bad) fmt in
@@ -245,26 +270,45 @@ let test_phase_span_balance () =
           State.noop_hooks with
           on_collect_start =
             (fun ~reason:_ ~emergency:_ ->
-              if !in_gc then fail "%s: nested collection" config_str;
-              in_gc := true);
+              if !in_gc then fail "%s: nested collection" label;
+              in_gc := true;
+              entered := [];
+              domain_reports := 0);
           on_gc_phase =
             (fun ~phase ~enter ->
-              if not !in_gc then
-                fail "%s: phase span outside a collection" config_str;
+              if not !in_gc then fail "%s: phase span outside a collection" label;
               let n =
                 Option.value (Hashtbl.find_opt open_spans phase) ~default:0
               in
-              if enter then Hashtbl.replace open_spans phase (n + 1)
+              if enter then begin
+                if Hashtbl.fold (fun _ k acc -> acc + k) open_spans 0 > 0 then
+                  fail "%s: %s entered inside another span" label
+                    (Gc_stats.phase_to_string phase);
+                entered := phase :: !entered;
+                Hashtbl.replace open_spans phase (n + 1)
+              end
               else if n = 0 then
-                fail "%s: phase leave without a matching enter" config_str
+                fail "%s: phase leave without a matching enter" label
               else Hashtbl.replace open_spans phase (n - 1));
+          on_gc_domains =
+            (fun ~reports ->
+              if not !in_gc then fail "%s: domain reports outside a collection" label;
+              if Array.length reports <> gc_domains then
+                fail "%s: %d domain report(s)" label (Array.length reports);
+              incr domain_reports);
           on_collect_end =
             (fun ~full_heap:_ ->
               Hashtbl.iter
                 (fun _ n ->
                   if n <> 0 then
-                    fail "%s: %d span(s) open at collection end" config_str n)
+                    fail "%s: %d span(s) open at collection end" label n)
                 open_spans;
+              let seq = List.rev !entered in
+              if seq <> expected then
+                fail "%s: phases %s" label
+                  (String.concat "," (List.map Gc_stats.phase_to_string seq));
+              if !domain_reports <> (if gc_domains > 1 then 1 else 0) then
+                fail "%s: on_gc_domains fired %d time(s)" label !domain_reports;
               in_gc := false;
               incr collect_ends);
         }
@@ -280,11 +324,14 @@ let test_phase_span_balance () =
       done;
       Gc.full_collect gc;
       State.remove_hooks st hooks;
-      checkb (config_str ^ ": spans balanced") true (!bad = []);
-      List.iter print_endline !bad;
-      checkb (config_str ^ ": collections observed") true (!collect_ends > 0);
-      checkb (config_str ^ ": no collection left open") false !in_gc)
-    ([ "ss"; "appel"; "25.25.100"; "appel+cards" ] @ exemplars)
+      checkb (label ^ ": spans balanced and ordered") true (!bad = []);
+      List.iter print_endline (List.sort_uniq compare !bad);
+      checkb (label ^ ": collections observed") true (!collect_ends > 0);
+      checkb (label ^ ": no collection left open") false !in_gc)
+    (List.map
+       (fun c -> (c, 1))
+       ([ "ss"; "appel"; "25.25.100"; "appel+cards" ] @ exemplars)
+    @ [ ("25.25.100", 2); ("appel+cards", 2) ])
 
 (* ---- Metrics reset and stable iteration (satellite) ---- *)
 

@@ -64,7 +64,7 @@ let run_one ~key ~config_s =
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: integrity: %s" cs e);
   let retained = Beltway.Oracle.retained_garbage_words gc in
-  if strat.State.strategy_moving then
+  if Strategy.moving strat.State.strategy_kind then
     checki (cs ^ ": full collection reclaims all garbage") 0 retained
   else
     checkb
