@@ -20,7 +20,7 @@ let[@inline] re_remember st ~use_cards ~slot ~src_frame ~tgt_frame =
 (* Is the frame part of the open nursery increment? Used only when the
    policy's barrier discipline enables the filter (single-increment
    nursery). *)
-let in_nursery st frame =
+let[@inline] in_nursery st frame =
   match Belt.back st.State.belts.(0) with
   | None -> false
   | Some inc -> Frame_table.incr_of st.State.ftab frame = inc.Increment.id

@@ -12,7 +12,10 @@ type t = {
   free_list : int Beltway_util.Vec.t; (* recycled frame indices *)
   mutable next_fresh : int; (* next never-used frame index *)
   mutable live : int;
-  cas_locks : bool Atomic.t array; (* address-striped spinlocks for cas_word *)
+  mutable cas_locks : bool Atomic.t array;
+      (* address-striped spinlocks for cas_word. Empty until the
+         parallel collector calls [ensure_cas_locks]: a sequential
+         heap never pays for them. *)
   mutable marks : Bytes.t;
       (* side mark bitmap: one bit per word, indexed by address. Empty
          until a marking strategy calls [ensure_marks]; grown alongside
@@ -52,7 +55,7 @@ let create ~frame_log_words ~max_frames =
     free_list = Beltway_util.Vec.create ~dummy:0 ();
     next_fresh = 1 (* frame 0 reserved: address 0 is null *);
     live = 0;
-    cas_locks = Array.init (cas_stripes * cas_stride) (fun _ -> Atomic.make false);
+    cas_locks = [||];
     marks = Bytes.empty;
   }
 
@@ -253,6 +256,10 @@ let reserve_fresh t ~frames =
   if frames < 0 then invalid_arg "Memory.reserve_fresh: negative frame count";
   grow_backing t (t.next_fresh + frames)
 
+let ensure_cas_locks t =
+  if Array.length t.cas_locks = 0 then
+    t.cas_locks <- Array.init (cas_stripes * cas_stride) (fun _ -> Atomic.make false)
+
 (* Word-granularity compare-and-set, emulated over the bigarray with
    address-striped spinlocks (OCaml exposes no native bigarray CAS).
    Returns the previous value: equal to [expect] iff the store
@@ -261,6 +268,8 @@ let reserve_fresh t ~frames =
    collector's forwarding protocol tolerates by construction (a stale
    "unforwarded" read just loses the subsequent CAS). *)
 let cas_word t a ~expect ~desired =
+  if Array.length t.cas_locks = 0 then
+    invalid_arg "Memory.cas_word: no stripes (call ensure_cas_locks first)";
   let lock = Array.unsafe_get t.cas_locks ((a land (cas_stripes - 1)) * cas_stride) in
   while not (Atomic.compare_and_set lock false true) do
     Domain.cpu_relax ()

@@ -108,12 +108,19 @@ val reserve_fresh : t -> frames:int -> unit
     read the backing unsynchronised and the arrays must not be swapped
     under them. @raise Invalid_argument on a negative count. *)
 
+val ensure_cas_locks : t -> unit
+(** Allocate the spinlock stripes {!cas_word} needs, once per heap.
+    The parallel collector calls this before fanning out, next to
+    {!reserve_fresh}; sequential heaps never allocate them. Not safe
+    to call while other domains may be in {!cas_word}. *)
+
 val cas_word : t -> Addr.t -> expect:int -> desired:int -> int
 (** Atomic compare-and-set of the word at an address, emulated with
     address-striped spinlocks: stores [desired] iff the word equals
     [expect], and returns the previous value either way (equal to
     [expect] iff the store happened). Safe from any domain; plain
-    loads racing with it may return either value. *)
+    loads racing with it may return either value.
+    @raise Invalid_argument before {!ensure_cas_locks} has run. *)
 
 val frame_base : t -> int -> Addr.t
 (** Address of word 0 of a frame. *)

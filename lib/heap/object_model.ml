@@ -2,7 +2,7 @@ let header_words = 2
 let size_words ~nfields = nfields + header_words
 let max_fields mem = Memory.frame_words mem - header_words
 
-let init mem addr ~tib ~nfields =
+let[@inline] init mem addr ~tib ~nfields =
   Memory.set mem addr (nfields lsl 1);
   Memory.set mem (addr + 1) tib
 

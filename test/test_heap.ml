@@ -144,6 +144,36 @@ let test_memory_contiguous_full_budget () =
     [ 1; 2; 3; 4; 5; 6; 7; 8 ] l;
   checki "no fresh frames minted" 9 (Memory.fresh_frames m)
 
+(* The CAS stripes are set up on demand by the parallel collector;
+   cas_word refuses to run before that, then behaves as a CAS. *)
+let test_memory_cas_word () =
+  let m = mem () in
+  let a = Memory.frame_base m (Memory.alloc_frame m) + 3 in
+  Alcotest.check_raises "no stripes yet"
+    (Invalid_argument "Memory.cas_word: no stripes (call ensure_cas_locks first)")
+    (fun () -> ignore (Memory.cas_word m a ~expect:0 ~desired:1));
+  Memory.ensure_cas_locks m;
+  Memory.ensure_cas_locks m (* idempotent *);
+  checki "hit returns expect" 0 (Memory.cas_word m a ~expect:0 ~desired:5);
+  checki "hit stored" 5 (Memory.get m a);
+  checki "miss returns current" 5 (Memory.cas_word m a ~expect:0 ~desired:9);
+  checki "miss stores nothing" 5 (Memory.get m a);
+  (* Two domains racing CAS increments on one word lose none. *)
+  let n = 2000 in
+  let bump () =
+    for _ = 1 to n do
+      let rec go () =
+        let v = Memory.get m a in
+        if Memory.cas_word m a ~expect:v ~desired:(v + 1) <> v then go ()
+      in
+      go ()
+    done
+  in
+  let d = Domain.spawn bump in
+  bump ();
+  Domain.join d;
+  checki "no lost increments" (5 + (2 * n)) (Memory.get m a)
+
 (* Property: Memory with its liveness bitmap behaves like a per-address
    shadow map under random alloc/free/set/get/blit sequences. *)
 let memory_model_prop =
@@ -369,6 +399,7 @@ let suite =
     ("memory contiguous recycles", `Quick, test_memory_contiguous_recycles);
     ("memory contiguous fresh fallback", `Quick, test_memory_contiguous_fresh_fallback);
     ("memory contiguous full budget", `Quick, test_memory_contiguous_full_budget);
+    ("memory cas_word", `Quick, test_memory_cas_word);
     Prop.to_alcotest memory_model_prop;
     ("value tags", `Quick, test_value_tags);
     ("value errors", `Quick, test_value_errors);
