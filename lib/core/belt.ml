@@ -42,7 +42,6 @@ let remove t inc =
   recache t
 
 let iter t f = List.iter f t.incs
-let find_opt t f = List.find_opt f t.incs
 let fold t ~init ~f = List.fold_left f init t.incs
 let fold_right t ~init ~f = List.fold_right f t.incs init
 

@@ -30,9 +30,6 @@ val remove : t -> Increment.t -> unit
 val iter : t -> (Increment.t -> unit) -> unit
 (** Front-to-back traversal. *)
 
-val find_opt : t -> (Increment.t -> bool) -> Increment.t option
-(** First increment, front to back, that satisfies the predicate. *)
-
 val fold : t -> init:'a -> f:('a -> Increment.t -> 'a) -> 'a
 
 val fold_right : t -> init:'a -> f:(Increment.t -> 'a -> 'a) -> 'a

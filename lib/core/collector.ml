@@ -95,6 +95,10 @@ let release_plan st plan c =
 let run st plan make =
   let ftab = st.State.ftab in
   st.State.in_gc <- true;
+  (* Sweeping gives increments room back, and only collections free
+     frames or move and remove increments: the free-list fallback's
+     snapshot is stale from here on (see [Schedule.fit_fallback]). *)
+  st.State.fit_valid <- false;
   (match st.State.hooks with
   | [] -> ()
   | hs ->

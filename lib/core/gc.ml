@@ -106,13 +106,27 @@ let alloc st ~ty ~nfields =
     let inc = Schedule.alloc_large st ~size in
     finish_alloc st ~ty ~nfields ~size (Increment.base_object inc st.State.mem)
   | _ ->
-    let nur = Schedule.prepare_alloc st ~size in
-    (* Bump, falling back to the increment's free list (mark-sweep
-       holes); identical to a plain bump when the list is empty. *)
-    let addr = Increment.alloc_or_null nur st.State.mem ~size in
-    if addr = Addr.null then
-      (* prepare_alloc guarantees room; reaching here is a scheduler bug. *)
-      invalid_arg "Gc.alloc: internal error: nursery bump failed after prepare";
+    (* The open nursery's bump first: when it succeeds it is exactly
+       what [prepare_alloc] would return and bump (the composition
+       [alloc_small_fast] relies on too), without the schedule call. *)
+    let addr =
+      match Belt.back st.State.belts.(0) with
+      | Some inc -> Increment.bump_or_null inc ~size
+      | None -> Addr.null
+    in
+    let addr =
+      if addr <> Addr.null then addr
+      else begin
+        let nur = Schedule.prepare_alloc st ~size in
+        (* Bump, falling back to the increment's free list (mark-sweep
+           holes); identical to a plain bump when the list is empty. *)
+        let addr = Increment.alloc_or_null nur st.State.mem ~size in
+        if addr = Addr.null then
+          (* prepare_alloc guarantees room; reaching here is a scheduler bug. *)
+          invalid_arg "Gc.alloc: internal error: nursery bump failed after prepare";
+        addr
+      end
+    in
     finish_alloc st ~ty ~nfields ~size addr
 
 let alloc_pretenured st ~ty ~nfields ~belt =

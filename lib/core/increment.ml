@@ -17,7 +17,7 @@ type t = {
   mutable gc_mark : bool;
   free_list : int Vec.t;
   mutable free_word_count : int;
-  mutable max_hole : int;
+  mutable hole_index : int array;
 }
 
 type pos = { mutable fi : int; mutable addr : Addr.t }
@@ -40,7 +40,7 @@ let create ~id ~belt ~stamp ~bound_frames =
     gc_mark = false;
     free_list = Vec.create ~dummy:0 ();
     free_word_count = 0;
-    max_hole = 0;
+    hole_index = [||];
   }
 
 (* A pinned (large-object-space) increment: exactly one object of
@@ -65,7 +65,7 @@ let create_pinned ~id ~belt ~stamp ~frames:frame_list mem ~size =
       gc_mark = false;
       free_list = Vec.create ~dummy:0 ();
       free_word_count = 0;
-      max_hole = 0;
+      hole_index = [||];
     }
   in
   let fw = Memory.frame_words mem in
@@ -153,70 +153,174 @@ let seal t = t.sealed <- true
    (1-word remainders cannot be represented, so such holes are
    skipped for that size).
 
-   [max_hole] summarises the list so the fit tests do not walk it: a
-   hole admits [size] iff it is exactly [size] words or at least
-   [size + header_words], so the largest hole settles the question
-   except when it lies strictly between the two (with the two-word
-   header: when it is exactly [size + 1]), where only an exact-size
-   hole can fit. *)
+   [hole_index] summarises the list so no query walks it: a max-tree
+   over blocks of [block_pairs] consecutive pairs. With [cap] leaves
+   (a power of two, [Array.length hole_index = 2 * cap]), node 1 is
+   the root, node [k] has children [2k] and [2k + 1], and leaf
+   [cap + b] holds the largest hole of block [b] (0 for an empty or
+   unused block); slot 0 is unused. A hole admits [size] only if it is
+   at least [size] words, so a subtree whose maximum is below [size]
+   holds no fitting hole and is skipped whole; the leftmost admitting
+   pair is then found in O(block_pairs * log blocks) rather than by a
+   walk over every pair before it. The root is the largest hole, which
+   settles most fit tests at once: only a largest hole of exactly
+   [size + 1] (with the two-word header) needs a search for an
+   exact-size hole. Copying increments never push a hole, so their
+   index stays the empty array. *)
+
+let block_log = 5
+let block_pairs = 1 lsl block_log
+
+let max_hole t = if Array.length t.hole_index = 0 then 0 else t.hole_index.(1)
 
 let clear_free_list t =
   Vec.clear t.free_list;
   t.free_word_count <- 0;
-  t.max_hole <- 0
+  Array.fill t.hole_index 0 (Array.length t.hole_index) 0
 
-let push_free t ~addr ~words =
-  Vec.push t.free_list addr;
-  Vec.push t.free_list words;
-  t.free_word_count <- t.free_word_count + words;
-  if words > t.max_hole then t.max_hole <- words
-
-let free_words t = t.free_word_count
-
-let recompute_max_hole t =
+(* The largest hole among block [b]'s pairs, read off the flat list. *)
+let block_max fl b =
   let m = ref 0 in
-  let n = Vec.length t.free_list in
-  let i = ref 1 in
-  while !i < n do
-    let words = Vec.get t.free_list !i in
+  let stop = min (Vec.length fl) ((b + 1) * block_pairs * 2) in
+  let i = ref ((b * block_pairs * 2) + 1) in
+  while !i < stop do
+    let words = Vec.get fl !i in
     if words > !m then m := words;
     i := !i + 2
   done;
-  t.max_hole <- !m
+  !m
 
-let fits_free t ~size =
-  let m = t.max_hole in
-  if m = size || m >= size + Object_model.header_words then true
-  else if m < size then false
-  else begin
-    (* Only an exact-size hole can fit. *)
-    let n = Vec.length t.free_list in
-    let i = ref 1 in
-    while !i < n && Vec.get t.free_list !i <> size do
-      i := !i + 2
-    done;
-    !i < n
+(* The index [free_list] implies, over [cap] leaves: what
+   [hole_index] must hold. *)
+let build_index fl ~cap =
+  let idx = Array.make (2 * cap) 0 in
+  for b = 0 to cap - 1 do
+    idx.(cap + b) <- block_max fl b
+  done;
+  for k = cap - 1 downto 1 do
+    idx.(k) <- max idx.(2 * k) idx.(2 * k + 1)
+  done;
+  idx
+
+(* At the index's own size, or the smallest that covers the list when
+   it does not. *)
+let rebuilt_index t =
+  let blocks = ((Vec.length t.free_list / 2) + block_pairs - 1) lsr block_log in
+  let cap = ref (Array.length t.hole_index / 2) in
+  if !cap < blocks then begin
+    cap := 1;
+    while !cap < blocks do
+      cap := 2 * !cap
+    done
+  end;
+  build_index t.free_list ~cap:!cap
+
+(* Re-derive the ancestors of [node] after it changed, stopping at the
+   first one whose maximum is unchanged. *)
+let rec propagate idx node =
+  if node > 1 then begin
+    let parent = node / 2 in
+    let m = max idx.(2 * parent) idx.((2 * parent) + 1) in
+    if idx.(parent) <> m then begin
+      idx.(parent) <- m;
+      propagate idx parent
+    end
   end
 
+let set_leaf idx leaf m =
+  if idx.(leaf) <> m then begin
+    idx.(leaf) <- m;
+    propagate idx leaf
+  end
+
+let leaf_of t b = (Array.length t.hole_index / 2) + b
+
+(* Block [b] gained a hole of [words]. *)
+let raise_block t b words =
+  let leaf = leaf_of t b in
+  if words > t.hole_index.(leaf) then set_leaf t.hole_index leaf words
+
+(* Block [b] lost (or shrank) a hole of [words]: only its largest hole
+   can lower its summary, and then the block is rescanned. *)
+let lower_block t b words =
+  let leaf = leaf_of t b in
+  if words = t.hole_index.(leaf) then
+    set_leaf t.hole_index leaf (block_max t.free_list b)
+
+let push_free t ~addr ~words =
+  let b = (Vec.length t.free_list / 2) lsr block_log in
+  Vec.push t.free_list addr;
+  Vec.push t.free_list words;
+  t.free_word_count <- t.free_word_count + words;
+  let cap = Array.length t.hole_index / 2 in
+  if b >= cap then
+    (* Grow to twice the blocks (the list only ever appends one
+       block at a time); rare, and rebuilt from the list. *)
+    t.hole_index <- build_index t.free_list ~cap:(max 1 (2 * cap))
+  else raise_block t b words
+
+let free_words t = t.free_word_count
+
+let[@inline] admits ~size words =
+  words = size || words >= size + Object_model.header_words
+
+(* Leftmost pair (by pair number) of block [b] admitting [size], or
+   -1. *)
+let scan_block fl ~size b =
+  let stop = min (Vec.length fl) ((b + 1) * block_pairs * 2) in
+  let i = ref ((b * block_pairs * 2) + 1) in
+  while !i < stop && not (admits ~size (Vec.get fl !i)) do
+    i := !i + 2
+  done;
+  if !i < stop then !i / 2 else -1
+
+(* Leftmost pair under [node] admitting [size], or -1: subtrees whose
+   largest hole is below [size] are never entered. *)
+let rec find idx fl ~size node =
+  if idx.(node) < size then -1
+  else begin
+    let cap = Array.length idx / 2 in
+    if node >= cap then scan_block fl ~size (node - cap)
+    else begin
+      let p = find idx fl ~size (2 * node) in
+      if p >= 0 then p else find idx fl ~size ((2 * node) + 1)
+    end
+  end
+
+let first_fit t ~size =
+  if max_hole t < size then -1 else find t.hole_index t.free_list ~size 1
+
+let fits_free t ~size =
+  let m = max_hole t in
+  m = size
+  || m >= size + Object_model.header_words
+  || (m > size && first_fit t ~size >= 0)
+
 let fit_or_null t mem ~size =
-  (* No walk at all when every hole is smaller than [size]. *)
-  let n = if t.max_hole < size then 0 else Vec.length t.free_list in
-  let i = ref 0 in
-  let addr = ref Addr.null in
-  let taken = ref 0 in
-  while !addr = Addr.null && !i < n do
-    let a = Vec.get t.free_list !i in
-    let words = Vec.get t.free_list (!i + 1) in
-    taken := words;
+  let p = first_fit t ~size in
+  if p < 0 then Addr.null
+  else begin
+    let fl = t.free_list in
+    let i = 2 * p in
+    let a = Vec.get fl i in
+    let words = Vec.get fl (i + 1) in
+    let b = p lsr block_log in
     if words = size then begin
       (* Exact fit: drop the pair (swap-remove keeps the vec dense). *)
-      let last = Vec.length t.free_list - 2 in
-      Vec.set t.free_list !i (Vec.get t.free_list last);
-      Vec.set t.free_list (!i + 1) (Vec.get t.free_list (last + 1));
-      Vec.truncate t.free_list last;
-      addr := a
+      let last = Vec.length fl - 2 in
+      let moved = Vec.get fl (last + 1) in
+      Vec.set fl i (Vec.get fl last);
+      Vec.set fl (i + 1) moved;
+      Vec.truncate fl last;
+      lower_block t b words;
+      if i < last then begin
+        (* The last pair moved from its block into block [b]. *)
+        let last_b = (last / 2) lsr block_log in
+        raise_block t b moved;
+        if last_b <> b then lower_block t last_b moved
+      end
     end
-    else if words >= size + Object_model.header_words then begin
+    else begin
       (* Split: the remainder stays a filler object in place. Only its
          header is written: its payload words are payload words of the
          hole's filler, which the sweep wrote as odd immediates, and no
@@ -224,22 +328,17 @@ let fit_or_null t mem ~size =
          already satisfies the filler invariant [Verify] checks. *)
       let rem = words - size in
       Memory.set mem (a + size) ((rem - Object_model.header_words) lsl 1);
-      Vec.set t.free_list !i (a + size);
-      Vec.set t.free_list (!i + 1) rem;
+      Vec.set fl i (a + size);
+      Vec.set fl (i + 1) rem;
       t.objects <- t.objects + 1;
-      addr := a
-    end
-    else i := !i + 2
-  done;
-  if !addr <> Addr.null then begin
-    (* Only taking or splitting a largest hole can lower the summary. *)
-    if !taken = t.max_hole then recompute_max_hole t;
+      lower_block t b words
+    end;
     t.free_word_count <- t.free_word_count - size;
     (* The hole's words are odd immediates; the allocation contract is
        zeroed (null-field) memory, like a fresh bump. *)
-    Memory.fill mem ~dst:!addr ~len:size 0
-  end;
-  !addr
+    Memory.fill mem ~dst:a ~len:size 0;
+    a
+  end
 
 (* Bump first (the common case, identical to the copying allocator),
    then fall back to the free list; [Addr.null] when neither fits. *)

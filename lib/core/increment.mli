@@ -34,9 +34,10 @@ type t = {
       (* flat (address, words) pairs indexing the filler objects left
          by a sweep; empty under the copying strategy *)
   mutable free_word_count : int; (* sum of the free-list hole sizes *)
-  mutable max_hole : int;
-      (* size of the largest free-list hole (0 when the list is empty):
-         lets the fit tests reject in O(1) *)
+  mutable hole_index : int array;
+      (* max-tree over blocks of free-list pairs (see {!max_hole}):
+         lets the fit tests skip every block with no hole big enough;
+         empty until the first hole is pushed *)
 }
 
 type pos
@@ -111,8 +112,22 @@ val seal : t -> unit
     walkable, and indexes the holes here as flat (address, words)
     pairs. Allocation is first-fit with a remainder rule: a hole is
     taken exactly or split leaving at least [Object_model.header_words]
-    words for the remainder filler. Copying increments never populate
-    the list, so these paths cost them nothing. *)
+    words for the remainder filler. An exact fit swap-removes its pair
+    (the last pair moves into its place), a split rewrites its pair in
+    place; the pair order, and so the placement, is exactly that of a
+    linear first-fit walk over [free_list].
+
+    [hole_index] is a max-tree over blocks of 32 consecutive pairs:
+    with [cap] leaves ([Array.length hole_index = 2 * cap], [cap] a
+    power of two), node 1 is the root, node [k]'s children are [2k]
+    and [2k + 1], and leaf [cap + b] holds the largest hole of block
+    [b]. A first-fit search enters only subtrees whose largest hole is
+    at least the request, so it costs O(32 log blocks) where the walk
+    cost one step per pair before the fit. The tree holds [2 * cap]
+    words, [cap] the power of two at or above the block count: for a
+    list of at least one block, at most a sixteenth of its two words
+    per pair. Copying increments never populate the list, so these
+    paths cost them nothing. *)
 
 val clear_free_list : t -> unit
 val push_free : t -> addr:Addr.t -> words:int -> unit
@@ -121,17 +136,26 @@ val free_words : t -> int
 (** Total words on the free list (an upper bound on what
     {!fit_or_null} can place). *)
 
+val max_hole : t -> int
+(** The largest hole (0 when the list is empty): the index's root. *)
+
+val rebuilt_index : t -> int array
+(** What [hole_index] must hold, rebuilt from [free_list]: at the
+    index's current size, or at the smallest size that covers the list
+    when the index is too small for it. {!Verify} compares the two. *)
+
 val fits_free : t -> size:int -> bool
 (** Whether some hole admits a [size]-word object under the remainder
     rule — the schedule's must-this-allocation-trigger test. O(1) from
-    [max_hole], except when the largest hole is too small to split but
-    larger than [size], where it looks for an exact-size hole. *)
+    {!max_hole}, except when the largest hole is too small to split but
+    larger than [size], where the index finds an exact-size hole if
+    there is one. *)
 
 val fit_or_null : t -> Memory.t -> size:int -> Addr.t
-(** Take the first fitting hole: returns zeroed memory like a fresh
-    bump, writes the remainder filler's header when splitting, or
-    [Addr.null] when no hole fits (at once when every hole is smaller
-    than [size]). *)
+(** Take the first fitting hole in list order: returns zeroed memory
+    like a fresh bump, writes the remainder filler's header when
+    splitting, or [Addr.null] when no hole fits (at once when every
+    hole is smaller than [size]). *)
 
 val alloc_or_null : t -> Memory.t -> size:int -> Addr.t
 (** {!bump_or_null}, falling back to {!fit_or_null} when the bump

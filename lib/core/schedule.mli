@@ -49,16 +49,24 @@ val full_collect : State.t -> Gc_stats.collection option
     respects feasibility (may raise [State.Out_of_memory]). *)
 
 val prepare_alloc : State.t -> size:int -> Increment.t
-(** Make room for a [size]-word bump allocation in the nursery and
-    return the (open, non-full) nursery increment.
+(** Make room for a [size]-word allocation and return the increment
+    that takes it: the open nursery when its bump tail or free list has
+    room. Under an in-place strategy with no whole frame left, an
+    allocation the nursery cannot take goes to the first increment in
+    {!State.live_increments} order with room (the free-list fallback)
+    before the trigger cascade runs. That search resumes, per request
+    size, where the previous one stopped: between collections an
+    increment that had no room for a size never gains it (the snapshot
+    in [State.fit_incs], dropped at every collection). Neither the
+    call nor the search allocates a closure or an option cell.
     @raise State.Out_of_memory when the heap is too small.
     @raise Invalid_argument if [size] exceeds a frame. *)
 
 val prepare_alloc_in : State.t -> belt:int -> size:int -> Increment.t
-(** Make room for a pretenured [size]-word bump allocation on a higher
-    belt (segregation by allocation site, paper S5) and return that
-    belt's open increment. Only the heap-full and remset triggers
-    apply.
+(** Make room for a pretenured [size]-word allocation on a higher belt
+    (segregation by allocation site, paper S5) and return that belt's
+    open increment, or the free-list fallback's choice as in
+    {!prepare_alloc}. Only the heap-full and remset triggers apply.
     @raise Invalid_argument for belt 0 (use {!prepare_alloc}), an
     out-of-range belt, or an oversized request.
     @raise State.Out_of_memory when the heap is too small. *)

@@ -138,6 +138,9 @@ type t = {
   gc_slots : int Beltway_util.Vec.t;
   gc_pinned : Increment.t Beltway_util.Vec.t;
   gc_mark_stack : int Beltway_util.Vec.t;
+  fit_incs : Increment.t Beltway_util.Vec.t;
+  mutable fit_valid : bool;
+  mutable fit_resume : int array;
   mutable frames_used : int;
   mutable next_inc_id : int;
   mutable seq : int;
@@ -234,6 +237,7 @@ let create ?(strategy = copying_strategy) ~config ~policy ~heap_frames
   Beltway_util.Vec.push site_names "unknown";
   let site_ids = Hashtbl.create 64 in
   Hashtbl.replace site_ids "unknown" 0;
+  let no_inc = Increment.create ~id:(-1) ~belt:0 ~stamp:0 ~bound_frames:None in
   {
     mem;
     boot;
@@ -252,11 +256,11 @@ let create ?(strategy = copying_strategy) ~config ~policy ~heap_frames
     incs_by_id = Hashtbl.create 64;
     inc_by_id = Array.make 64 None;
     gc_slots = Beltway_util.Vec.create ~dummy:0 ();
-    gc_pinned =
-      Beltway_util.Vec.create
-        ~dummy:(Increment.create ~id:(-1) ~belt:0 ~stamp:0 ~bound_frames:None)
-        ();
+    gc_pinned = Beltway_util.Vec.create ~dummy:no_inc ();
     gc_mark_stack = Beltway_util.Vec.create ~dummy:0 ();
+    fit_incs = Beltway_util.Vec.create ~dummy:no_inc ();
+    fit_valid = false;
+    fit_resume = [||];
     frames_used = 0;
     next_inc_id = 0;
     seq = 0;

@@ -196,6 +196,16 @@ type t = {
   gc_mark_stack : int Beltway_util.Vec.t;
       (** reused scratch for the marking strategies' explicit mark
           stack (grey object addresses) *)
+  fit_incs : Increment.t Beltway_util.Vec.t;
+      (** the free-list fallback's snapshot of {!live_increments},
+          in that order (see [Schedule.prepare_alloc]) *)
+  mutable fit_valid : bool;
+      (** [fit_incs] and [fit_resume] are current; cleared at the start
+          of every collection *)
+  mutable fit_resume : int array;
+      (** per request size: the first [fit_incs] position that may
+          still admit it (every earlier one is known not to); grown on
+          demand *)
   mutable frames_used : int;
   mutable next_inc_id : int;
   mutable seq : int; (** stamp sequence counter *)

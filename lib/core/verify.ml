@@ -144,6 +144,35 @@ let check_accounting st =
       st.State.frames_used
   else Ok ()
 
+(* Each increment's hole index is the one its free list implies: every
+   max-tree node, the root ([Increment.max_hole]) included, equals the
+   node rebuilt from the flat list. A stale node would let the
+   first-fit search skip a fitting hole or enter a block without one. *)
+let check_hole_index st =
+  List.fold_left
+    (fun acc (inc : Increment.t) ->
+      let* () = acc in
+      let idx = inc.Increment.hole_index in
+      let fresh = Increment.rebuilt_index inc in
+      if Array.length idx <> Array.length fresh then
+        err "free-list index of increment %d has %d leaves, its %d holes need %d"
+          inc.Increment.id (Array.length idx / 2)
+          (Beltway_util.Vec.length inc.Increment.free_list / 2)
+          (Array.length fresh / 2)
+      else begin
+        let k = ref 1 in
+        while !k < Array.length idx && idx.(!k) = fresh.(!k) do
+          incr k
+        done;
+        if !k < Array.length idx then
+          err "free-list index of increment %d: node %d%s holds %d, the list gives %d"
+            inc.Increment.id !k
+            (if !k = 1 then " (max_hole)" else "")
+            idx.(!k) fresh.(!k)
+        else Ok ()
+      end)
+    (Ok ()) (State.live_increments st)
+
 (* Every free-list hole is a well-formed filler: an even header sizing
    it to the hole, then payload words that are all odd immediates.
    Free-list splits rely on this — a remainder reuses the hole's
@@ -188,6 +217,7 @@ let check gc =
     let* () = check_belt_fifo st in
     let* () = check_frames st in
     let* () = check_accounting st in
+    let* () = check_hole_index st in
     let* () = check_fillers st in
     check_objects_and_remsets gc
   with Invalid_argument e -> err "heap traversal trapped: %s" e

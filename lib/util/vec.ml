@@ -7,17 +7,22 @@ let create ?(capacity = 8) ~dummy () =
 let length t = t.len
 let is_empty t = t.len = 0
 
-let check t i name =
-  if i < 0 || i >= t.len then
-    invalid_arg (Printf.sprintf "Vec.%s: index %d out of bounds [0,%d)" name i t.len)
+(* The bound check stays on every access; only its error path is out of
+   line, so [get] and [set] inline at their call sites (the free-list
+   index's block scans, the mark stack, remembered-slot buffers) as a
+   compare and a load or store. *)
+let[@inline never] out_of_bounds t i name =
+  invalid_arg (Printf.sprintf "Vec.%s: index %d out of bounds [0,%d)" name i t.len)
 
-let get t i =
+let[@inline] check t i name = if i < 0 || i >= t.len then out_of_bounds t i name
+
+let[@inline] get t i =
   check t i "get";
-  t.data.(i)
+  Array.unsafe_get t.data i
 
-let set t i v =
+let[@inline] set t i v =
   check t i "set";
-  t.data.(i) <- v
+  Array.unsafe_set t.data i v
 
 let grow t =
   let cap = Array.length t.data in

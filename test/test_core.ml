@@ -129,17 +129,28 @@ let pp_fl_op = function
 
 (* Hole and request sizes overlap so that every branch is exercised:
    exact fits, splits, and the largest hole one word above the request
-   (where only an exact-size hole can fit). *)
+   (where only an exact-size hole can fit). Most sequences are short;
+   one in ten pushes far more than it takes, growing lists of hundreds
+   of holes, so the index's block boundaries, its growth and several
+   tree levels are all crossed, and an exact fit swap-removes a pair
+   from a late block into an early one. *)
+let fl_op_gen ~push ~clear =
+  QCheck.Gen.(
+    frequency
+      ([
+         (push, map (fun w -> Push w) (int_range 2 24));
+         (4, map (fun s -> Fit s) (int_range 2 26));
+         (2, map (fun s -> Fits s) (int_range 2 26));
+       ]
+      @ if clear then [ (1, return Clear) ] else []))
+
 let fl_ops_gen =
   QCheck.Gen.(
-    list_size (int_range 1 80)
-      (frequency
-         [
-           (3, map (fun w -> Push w) (int_range 2 24));
-           (4, map (fun s -> Fit s) (int_range 2 26));
-           (2, map (fun s -> Fits s) (int_range 2 26));
-           (1, return Clear);
-         ]))
+    frequency
+      [
+        (9, list_size (int_range 1 80) (fl_op_gen ~push:3 ~clear:true));
+        (1, list_size (int_range 300 1200) (fl_op_gen ~push:8 ~clear:false));
+      ])
 
 let free_list_prop =
   QCheck.Test.make ~name:"free list == reference linear first fit" ~count:500
@@ -147,7 +158,7 @@ let free_list_prop =
        ~print:(fun ops -> String.concat "; " (List.map pp_fl_op ops))
        fl_ops_gen)
     (fun ops ->
-      let m = Memory.create ~frame_log_words:14 ~max_frames:1 in
+      let m = Memory.create ~frame_log_words:15 ~max_frames:1 in
       let i = inc () in
       Increment.add_frame i m (Memory.alloc_frame m);
       (* Holes are laid out one word apart, each written as the sweep
@@ -190,9 +201,12 @@ let free_list_prop =
             fail "after %s: free_words %d, reference %d" (pp_fl_op op)
               (Increment.free_words i) total;
           let largest = List.fold_left (fun acc (_, w) -> max acc w) 0 !holes in
-          if i.Increment.max_hole <> largest then
+          if Increment.max_hole i <> largest then
             fail "after %s: max_hole %d, largest hole %d" (pp_fl_op op)
-              i.Increment.max_hole largest;
+              (Increment.max_hole i) largest;
+          if i.Increment.hole_index <> Increment.rebuilt_index i then
+            fail "after %s: hole_index differs from one rebuilt from the list"
+              (pp_fl_op op);
           (* Every hole, remainders included, is still a filler. *)
           List.iter
             (fun (a, w) ->

@@ -453,10 +453,48 @@ let test_verify_detects_corrupt_filler () =
       (String.length e >= String.length expected
       && String.sub e 0 (String.length expected) = expected)
 
+(* The free-list index must summarise the list it indexes: a leaf that
+   no longer records its block's largest hole (as a split or exact fit
+   that skipped its refresh would leave) makes first fit skip holes
+   that fit, and must be rejected. *)
+let test_verify_detects_stale_hole_index () =
+  let gc = gc_of "25.25.100+strategy:marksweep" in
+  let ty = Gc.register_type gc ~name:"t" in
+  let roots = Gc.roots gc in
+  for i = 0 to 63 do
+    let x = Gc.alloc gc ~ty ~nfields:4 in
+    if i mod 2 = 0 then ignore (Roots.new_global roots (Value.of_addr x))
+  done;
+  Gc.full_collect gc;
+  checkb "swept heap passes" true (Result.is_ok (Beltway.Verify.check gc));
+  let holey =
+    List.find
+      (fun (i : Beltway.Increment.t) ->
+        Beltway_util.Vec.length i.Beltway.Increment.free_list > 0)
+      (Beltway.State.live_increments (Gc.state gc))
+  in
+  let idx = holey.Beltway.Increment.hole_index in
+  let leaf = Array.length idx / 2 in
+  checkb "block 0 records a hole" true (idx.(leaf) > 0);
+  idx.(leaf) <- 0;
+  match Beltway.Verify.check gc with
+  | Ok () -> Alcotest.fail "stale hole index accepted"
+  | Error e ->
+    let expected =
+      Printf.sprintf "free-list index of increment %d: node %d"
+        holey.Beltway.Increment.id leaf
+    in
+    checkb
+      (Printf.sprintf "rejection names the stale node (%s)" e)
+      true
+      (String.length e >= String.length expected
+      && String.sub e 0 (String.length expected) = expected)
+
 let suite =
   suite
   @ [
       ("verify detects corrupt filler", `Quick, test_verify_detects_corrupt_filler);
+      ("verify detects stale hole index", `Quick, test_verify_detects_stale_hole_index);
       ("verify detects unremembered pointer", `Quick, test_verify_detects_unremembered_pointer);
       ("verify detects dangling pointer", `Quick, test_verify_detects_dangling_pointer);
       ("verify detects accounting drift", `Quick, test_verify_detects_accounting_drift);
