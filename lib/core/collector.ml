@@ -36,6 +36,8 @@ let evacuation_frames p =
 (* Per-collection totals, written by the drain's bodies and turned
    into the one [Gc_stats.collection] record by [run]. *)
 type counts = {
+  mutable domains : Gc_stats.domain_report array;
+      (* the parallel drain's per-domain shares; [||] otherwise *)
   mutable copied_words : int;
   mutable copied_objects : int;
   mutable scanned_slots : int;
@@ -62,9 +64,6 @@ type drain = {
       (** back on one domain, between the trace and reclaim spans *)
   reclaim_phase : Gc_stats.gc_phase;
   reclaim : unit -> unit;
-  reports : unit -> State.par_report array;
-      (** one per GC domain; [on_gc_domains] fires when there are two
-          or more *)
 }
 
 let unowned addr =
@@ -93,6 +92,7 @@ let release_plan st plan c =
     plan.increments
 
 let run st plan make =
+  let start_ns = Gc_stats.now_ns () in
   let ftab = st.State.ftab in
   st.State.in_gc <- true;
   (* Sweeping gives increments room back, and only collections free
@@ -106,16 +106,22 @@ let run st plan make =
       (fun h ->
         h.State.on_collect_start ~reason:plan.reason ~emergency:plan.emergency)
       hs);
-  (* Phase spans for the flight recorder: free when no hooks are
-     installed (one list match per phase boundary per collection). *)
+  (* Every phase is timed into the record; the hooks cost one list
+     match per phase boundary when none are installed. *)
   let phase p enter =
     match st.State.hooks with
     | [] -> ()
     | hs -> List.iter (fun h -> h.State.on_gc_phase ~phase:p ~enter) hs
   in
-  let span p body =
+  let phases = Array.make 4 Gc_stats.Phase_roots in
+  let phase_ns = Array.make 8 0 in
+  let span i p body =
+    phases.(i) <- p;
     phase p true;
+    let t0 = Gc_stats.now_ns () in
     body ();
+    phase_ns.(2 * i) <- t0;
+    phase_ns.((2 * i) + 1) <- Gc_stats.now_ns () - t0;
     phase p false
   in
   (* Plan totals up front: the in-place reclaims rewrite the plan
@@ -132,46 +138,44 @@ let run st plan make =
       Vec.iter (fun f -> Frame_table.set_in_plan ftab ~frame:f true) inc.Increment.frames)
     plan.increments;
   let c =
-    { copied_words = 0; copied_objects = 0; scanned_slots = 0; remset_slots = 0;
-      roots_scanned = 0; marked_objects = 0; marked_words = 0; swept_words = 0;
-      moved_words = 0; freed_frames = 0 }
+    { domains = [||]; copied_words = 0; copied_objects = 0; scanned_slots = 0;
+      remset_slots = 0; roots_scanned = 0; marked_objects = 0; marked_words = 0;
+      swept_words = 0; moved_words = 0; freed_frames = 0 }
   in
   let d = make st plan c in
-  span Gc_stats.Phase_roots d.roots;
+  span 0 Gc_stats.Phase_roots d.roots;
   (match st.State.policy.State.barrier with
   | State.Barrier_remsets _ ->
-    phase Gc_stats.Phase_remset true;
-    (* Snapshot first (into scratch reused across collections): the
-       visit inserts new remset entries and the table must not be
-       mutated mid-iteration. *)
-    let slots = st.State.gc_slots in
-    Vec.clear slots;
-    Remset.iter_into st.State.remsets
-      ~in_plan:(fun f -> Frame_table.in_plan ftab f)
-      (fun ~slot -> Vec.push slots slot);
-    d.remembered slots;
-    Vec.clear slots;
-    phase Gc_stats.Phase_remset false
+    span 1 Gc_stats.Phase_remset (fun () ->
+        (* Snapshot first (into scratch reused across collections):
+           the visit inserts new remset entries and the table must not
+           be mutated mid-iteration. *)
+        let slots = st.State.gc_slots in
+        Vec.clear slots;
+        Remset.iter_into st.State.remsets
+          ~in_plan:(fun f -> Frame_table.in_plan ftab f)
+          (fun ~slot -> Vec.push slots slot);
+        d.remembered slots;
+        Vec.clear slots)
   | State.Barrier_cards ->
-    phase Gc_stats.Phase_cards true;
-    (* Card scanning: every dirty frame outside the plan may hold
-       pointers into it, so its owning increment is scanned object by
-       object — the scan-cost side of the cards-vs-remsets trade-off
-       (paper S5). Cards are cleared first and re-marked for slots
-       that still hold interesting pointers afterwards. *)
-    let incs = Hashtbl.create 16 in
-    Card_table.iter_dirty st.State.cards (fun frame ->
-        if not (Frame_table.in_plan ftab frame) then begin
-          Card_table.clear st.State.cards ~frame;
-          match State.inc_of_frame st frame with
-          | Some inc -> Hashtbl.replace incs inc.Increment.id inc
-          | None -> ()
-        end);
-    d.dirty (Array.of_seq (Hashtbl.to_seq_values incs));
-    phase Gc_stats.Phase_cards false);
-  span d.trace_phase d.trace;
+    span 1 Gc_stats.Phase_cards (fun () ->
+        (* Card scanning: every dirty frame outside the plan may hold
+           pointers into it, so its owning increment is scanned object
+           by object — the scan-cost side of the cards-vs-remsets
+           trade-off (paper S5). Cards are cleared first and re-marked
+           for slots that still hold interesting pointers afterwards. *)
+        let incs = Hashtbl.create 16 in
+        Card_table.iter_dirty st.State.cards (fun frame ->
+            if not (Frame_table.in_plan ftab frame) then begin
+              Card_table.clear st.State.cards ~frame;
+              match State.inc_of_frame st frame with
+              | Some inc -> Hashtbl.replace incs inc.Increment.id inc
+              | None -> ()
+            end);
+        d.dirty (Array.of_seq (Hashtbl.to_seq_values incs))));
+  span 2 d.trace_phase d.trace;
   d.settle ();
-  span d.reclaim_phase d.reclaim;
+  span 3 d.reclaim_phase d.reclaim;
   st.State.in_gc <- false;
   if plan.full_heap then st.State.live_est_frames <- st.State.frames_used;
   let record : Gc_stats.collection =
@@ -196,24 +200,27 @@ let run st plan make =
       freed_frames = c.freed_frames;
       heap_frames_after = st.State.frames_used;
       reserve_frames = Copy_reserve.frames st;
+      start_ns;
+      pause_ns = Gc_stats.now_ns () - start_ns;
+      phases;
+      phase_ns;
+      belt_frames = Array.map Belt.occupancy_frames st.State.belts;
+      remset_entries = Remset.total_entries st.State.remsets;
+      domains = c.domains;
     }
   in
   Gc_stats.record_collection st.State.stats record;
   (match st.State.hooks with
   | [] -> ()
   | hs ->
-    let reports = d.reports () in
     List.iter
       (fun h ->
-        if Array.length reports > 1 then h.State.on_gc_domains ~reports;
         (* Reserve sampled once per collection, after the plan's frames
            are back: the recorder's reserve-pressure time series. *)
         h.State.on_reserve ~frames:record.Gc_stats.reserve_frames;
         h.State.on_collect_end ~full_heap:plan.full_heap)
       hs);
   record
-
-let no_reports () = [||]
 
 (* ------------------------------------------------------------------ *)
 (* The sequential Cheney drain.
@@ -437,7 +444,6 @@ let cheney_drain st plan c =
       (fun () ->
         release_plan st plan c;
         Vec.clear pinned_work);
-    reports = no_reports;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -491,7 +497,6 @@ let parallel_drain st plan c =
   let ndomains = st.State.gc_domains in
   let team = team_for ndomains in
   let record_moves = st.State.hooks <> [] in
-  let clock = st.State.clock_us in
   let use_cards = st.State.policy.State.barrier = State.Barrier_cards in
 
   (* Worker domains read the flat backing, the liveness bitmap, the
@@ -528,8 +533,7 @@ let parallel_drain st plan c =
       ctx.State.pd_roots_scanned <- 0;
       ctx.State.pd_steals <- 0;
       ctx.State.pd_cas_retries <- 0;
-      Array.fill ctx.State.pd_phase_start 0 3 0.;
-      Array.fill ctx.State.pd_phase_dur 0 3 0.)
+      Array.fill ctx.State.pd_phase_ns 0 6 0)
     ctxs;
 
   let pending = Atomic.make 0 in
@@ -699,8 +703,8 @@ let parallel_drain st plan c =
      [failure] (a raise must never leave a sibling spinning). *)
   let timed ord f i =
     let ctx = ctxs.(i) in
-    let t0 = clock () in
-    ctx.State.pd_phase_start.(ord) <- t0;
+    let t0 = Gc_stats.now_ns () in
+    ctx.State.pd_phase_ns.(2 * ord) <- t0;
     (try f i ctx
      with e ->
        ignore (Atomic.compare_and_set failure None (Some e));
@@ -710,7 +714,7 @@ let parallel_drain st plan c =
        exact at every phase boundary — the Cheney drain starts from a
        true outstanding count. *)
     flush ctx;
-    ctx.State.pd_phase_dur.(ord) <- clock () -. t0
+    ctx.State.pd_phase_ns.((2 * ord) + 1) <- Gc_stats.now_ns () - t0
   in
   let on_team ord f =
     Team.run team ~domains:ndomains (timed ord f);
@@ -893,30 +897,20 @@ let parallel_drain st plan c =
           ctx.State.pd_opened;
         ctx.State.pd_opened <- [];
         Array.fill ctx.State.pd_dests 0 (Array.length ctx.State.pd_dests) None)
-      ctxs
-  in
-  let reports () =
-    Array.mapi
-      (fun i (ctx : State.par_domain) ->
-        let span ord phase =
-          (phase, ctx.State.pd_phase_start.(ord), ctx.State.pd_phase_dur.(ord))
-        in
-        {
-          State.pr_domain = i;
-          pr_phases =
-            [|
-              span 0 Gc_stats.Phase_roots;
-              span 1
-                (if use_cards then Gc_stats.Phase_cards else Gc_stats.Phase_remset);
-              span 2 Gc_stats.Phase_cheney;
-            |];
-          pr_copied_objects = ctx.State.pd_copied_objects;
-          pr_copied_words = ctx.State.pd_copied_words;
-          pr_scanned_slots = ctx.State.pd_scanned_slots + ctx.State.pd_remset_slots;
-          pr_steals = ctx.State.pd_steals;
-          pr_cas_retries = ctx.State.pd_cas_retries;
-        })
-      ctxs
+      ctxs;
+    c.domains <-
+      Array.mapi
+        (fun i (ctx : State.par_domain) ->
+          {
+            Gc_stats.d_domain = i;
+            d_phase_ns = Array.copy ctx.State.pd_phase_ns;
+            d_copied_objects = ctx.State.pd_copied_objects;
+            d_copied_words = ctx.State.pd_copied_words;
+            d_scanned_slots = ctx.State.pd_scanned_slots + ctx.State.pd_remset_slots;
+            d_steals = ctx.State.pd_steals;
+            d_cas_retries = ctx.State.pd_cas_retries;
+          })
+        ctxs
   in
   {
     roots;
@@ -927,7 +921,6 @@ let parallel_drain st plan c =
     settle;
     reclaim_phase = Gc_stats.Phase_free;
     reclaim = (fun () -> release_plan st plan c);
-    reports;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1506,7 +1499,6 @@ let mark_drain ~compact st plan c =
     settle = ignore;
     reclaim_phase = (if compact then Gc_stats.Phase_compact else Gc_stats.Phase_sweep);
     reclaim = (if compact then compact_plan else sweep);
-    reports = no_reports;
   }
 
 (* The strategy dispatch, once per collection. The in-place strategies

@@ -56,6 +56,18 @@ let all_phases =
     Phase_free;
   ]
 
+let now_ns () = 1000 * Float.to_int (Float.round (Unix.gettimeofday () *. 1e6))
+
+type domain_report = {
+  d_domain : int;
+  d_phase_ns : int array;
+  d_copied_objects : int;
+  d_copied_words : int;
+  d_scanned_slots : int;
+  d_steals : int;
+  d_cas_retries : int;
+}
+
 type collection = {
   n : int;
   reason : reason;
@@ -77,6 +89,13 @@ type collection = {
   marked_words : int;
   swept_words : int;
   moved_words : int;
+  start_ns : int;
+  pause_ns : int;
+  phases : gc_phase array;
+  phase_ns : int array;
+  belt_frames : int array;
+  remset_entries : int;
+  domains : domain_report array;
 }
 
 let collection_label c =
@@ -104,7 +123,32 @@ let dummy_collection =
     marked_words = 0;
     swept_words = 0;
     moved_words = 0;
+    start_ns = 0;
+    pause_ns = 0;
+    phases = [||];
+    phase_ns = [||];
+    belt_frames = [||];
+    remset_entries = 0;
+    domains = [||];
   }
+
+let iter_spans phases ns f =
+  for i = 0 to min (Array.length phases) (Array.length ns / 2) - 1 do
+    f phases.(i) ~start_ns:ns.(2 * i) ~dur_ns:ns.((2 * i) + 1)
+  done
+
+(* Every field but the wall-clock ones: two runs of one deterministic
+   workload agree on this exactly. *)
+let untimed c =
+  {
+    c with
+    start_ns = 0;
+    pause_ns = 0;
+    phase_ns = [||];
+    domains = Array.map (fun d -> { d with d_phase_ns = [||] }) c.domains;
+  }
+
+let same_untimed a b = untimed a = untimed b
 
 type t = {
   mutable config_label : string;

@@ -1,20 +1,5 @@
 exception Out_of_memory of string
 
-(* Per-domain summary of one parallel collection, handed to the
-   [on_gc_domains] hook for the flight recorder: phase windows in the
-   recorder's clock (start, duration in us; zero when no clock is
-   installed) plus the domain's share of the copy work and its
-   work-stealing traffic. *)
-type par_report = {
-  pr_domain : int;
-  pr_phases : (Gc_stats.gc_phase * float * float) array;
-  pr_copied_objects : int;
-  pr_copied_words : int;
-  pr_scanned_slots : int;
-  pr_steals : int;
-  pr_cas_retries : int;
-}
-
 type hooks = {
   on_alloc : addr:Addr.t -> tib:Value.t -> nfields:int -> unit;
   on_write : obj:Addr.t -> field:int -> value:Value.t -> unit;
@@ -29,7 +14,6 @@ type hooks = {
   on_reserve : frames:int -> unit;
   on_trigger : reason:Gc_stats.reason -> unit;
   on_barrier_slow : entries:int -> unit;
-  on_gc_domains : reports:par_report array -> unit;
 }
 
 let noop_hooks =
@@ -47,7 +31,6 @@ let noop_hooks =
     on_reserve = (fun ~frames:_ -> ());
     on_trigger = (fun ~reason:_ -> ());
     on_barrier_slow = (fun ~entries:_ -> ());
-    on_gc_domains = (fun ~reports:_ -> ());
   }
 
 (* Per-domain scratch for the parallel collector, reused across
@@ -71,8 +54,8 @@ type par_domain = {
   mutable pd_roots_scanned : int;
   mutable pd_steals : int;
   mutable pd_cas_retries : int;
-  pd_phase_start : float array; (* roots / remset-or-cards / cheney *)
-  pd_phase_dur : float array;
+  pd_phase_ns : int array;
+      (* start/duration pairs: roots, remset-or-cards, cheney *)
 }
 
 (* The pluggable collector-policy layer. The record type lives here,
@@ -158,9 +141,6 @@ type t = {
       (* serialises shared-structure mutation (increment creation,
          frame grants and their hooks) during a parallel drain *)
   mutable gc_par : par_domain array; (* parallel-drain scratch, grown on demand *)
-  mutable clock_us : unit -> float;
-      (* timestamp source for per-domain phase spans; returns 0 until
-         a flight recorder installs its clock *)
   mutable alloc_site : int;
       (* allocation-site id the next [on_alloc] firing is attributed
          to; 0 is the catch-all "unknown" site. Instrumented mutators
@@ -272,7 +252,6 @@ let create ?(strategy = copying_strategy) ~config ~policy ~heap_frames
     gc_domains = 1;
     gc_lock = Mutex.create ();
     gc_par = [||];
-    clock_us = (fun () -> 0.);
     alloc_site = 0;
     site_names;
     site_ids;
@@ -297,8 +276,7 @@ let make_par_domain t =
     pd_roots_scanned = 0;
     pd_steals = 0;
     pd_cas_retries = 0;
-    pd_phase_start = Array.make 3 0.;
-    pd_phase_dur = Array.make 3 0.;
+    pd_phase_ns = Array.make 6 0;
   }
 
 (* The first [n] per-domain scratch contexts, created on first use and

@@ -14,22 +14,6 @@ exception Out_of_memory of string
     the analogue of a benchmark "failing to run" at a heap size in the
     paper's figures. *)
 
-type par_report = {
-  pr_domain : int;
-  pr_phases : (Gc_stats.gc_phase * float * float) array;
-      (** (phase, start, duration) per parallel phase, in the flight
-          recorder's microsecond clock (zeros when none is attached) *)
-  pr_copied_objects : int;
-  pr_copied_words : int;
-  pr_scanned_slots : int;
-  pr_steals : int;  (** grey objects taken from other domains' deques *)
-  pr_cas_retries : int;
-      (** forwarding races lost: speculative copies discarded after
-          another domain installed the forwarding pointer first *)
-}
-(** Per-domain summary of one parallel collection, reported through
-    [on_gc_domains]. *)
-
 type hooks = {
   on_alloc : addr:Addr.t -> tib:Value.t -> nfields:int -> unit;
       (** after an object is initialised (header + TIB written, fields
@@ -50,7 +34,7 @@ type hooks = {
       (** on entering a collection, before any evacuation *)
   on_collect_end : full_heap:bool -> unit;
       (** after a collection completes and the heap is consistent
-          (evacuated increments freed, statistics recorded); not fired
+          (evacuated increments freed, its record pushed); not fired
           when a collection aborts with [Out_of_memory] *)
   on_gc_phase : phase:Gc_stats.gc_phase -> enter:bool -> unit;
       (** entering/leaving one phase of a collection (roots, remset or
@@ -71,17 +55,16 @@ type hooks = {
   on_barrier_slow : entries:int -> unit;
       (** after a write-barrier slow path inserted a remembered-set
           entry; [entries] is the new remset total *)
-  on_gc_domains : reports:par_report array -> unit;
-      (** after a parallel collection's drain completes (before
-          [on_collect_end]): one {!par_report} per GC domain. Never
-          fired by the sequential collector. *)
 }
 (** Observation hooks for heap-analysis tools (the shadow-heap
     sanitizer, verification-every-n testing, the [Beltway_obs] flight
     recorder). Hooks observe; they must not allocate on or otherwise
     mutate the heap being observed. Every dispatch site first matches
     on the empty hook list, so a heap with no hooks installed pays one
-    branch per site and nothing more. *)
+    branch per site and nothing more. A collection's times, occupancy
+    and per-domain shares need no hook: the collector stamps them into
+    its [Gc_stats.collection] record, pushed before [on_collect_end]
+    fires. *)
 
 val noop_hooks : hooks
 (** All-no-op record, for [{ noop_hooks with ... }] updates. *)
@@ -105,8 +88,10 @@ type par_domain = {
   mutable pd_roots_scanned : int;
   mutable pd_steals : int;
   mutable pd_cas_retries : int;
-  pd_phase_start : float array;
-  pd_phase_dur : float array;
+  pd_phase_ns : int array;
+      (** [start; duration] pairs ([Gc_stats.now_ns]) of this domain's
+          roots, remset-or-card and Cheney phases, copied into the
+          collection record's [Gc_stats.domains] *)
 }
 (** Per-domain scratch for the parallel collector (grey deque, private
     destination increments, replay buffers, counters), reused across
@@ -228,9 +213,6 @@ type t = {
           frame grants, and their hooks) during a parallel drain *)
   mutable gc_par : par_domain array;
       (** parallel-drain scratch, grown on demand by {!par_domains} *)
-  mutable clock_us : unit -> float;
-      (** timestamp source for per-domain phase spans; returns 0 until
-          a flight recorder installs its clock *)
   mutable alloc_site : int;
       (** allocation-site id the next [on_alloc] firing is attributed
           to; 0 is the catch-all "unknown" site. Instrumented mutators

@@ -3,7 +3,8 @@ module Gc_stats = Beltway.Gc_stats
 module State = Beltway.State
 
 (* Track layout: tid 0 is the mutator (collection pauses and their
-   phase spans preempt the mutator, so they render there), tid 1+b is
+   phase spans, read from the heap's collection records, preempt the
+   mutator, so they render there), tid 1+b is
    belt b (frame grants/frees and belt advances, so per-belt heap
    churn is visible as its own track), and tid 64+d is GC domain d's
    share of each parallel collection (64 clears every belt track:
@@ -34,92 +35,79 @@ let span ~pid ~tid ~name ~cat ~ts ~dur args =
   common ~pid ~tid ~name ~cat ~ph:"X" ~ts
     [ ("dur", Json.Num dur); ("args", Json.Obj args) ]
 
-(* One recorder event can expand to several trace events (a parallel
-   collection report becomes one span per phase on the domain's
-   track), so this returns a list. *)
+(* One collection record becomes its pause span and phase spans on
+   the mutator track, plus, for a parallel collection, each domain's
+   phase spans on that domain's track. *)
+let collection_json ~pid ~emit rec_ (c : Gc_stats.collection) =
+  let us ns = Recorder.us_since_attach rec_ ns in
+  let dur ns = float_of_int ns /. 1e3 in
+  let n = c.Gc_stats.n in
+  emit
+    (span ~pid ~tid:mutator_tid
+       ~name:(Printf.sprintf "GC %d (%s)" n (Gc_stats.collection_label c))
+       ~cat:"gc" ~ts:(us c.Gc_stats.start_ns) ~dur:(dur c.Gc_stats.pause_ns)
+       [
+         ("reason", Json.Str (Gc_stats.reason_to_string c.Gc_stats.reason));
+         ("emergency", Json.Bool c.Gc_stats.emergency);
+         ("full_heap", Json.Bool c.Gc_stats.full_heap);
+         ("n", num n);
+         ("clock_words", num c.Gc_stats.clock_words);
+         ("copied_words", num c.Gc_stats.copied_words);
+         ("freed_frames", num c.Gc_stats.freed_frames);
+         ("frames_after", num c.Gc_stats.heap_frames_after);
+         ("reserve_frames", num c.Gc_stats.reserve_frames);
+       ]);
+  Gc_stats.iter_spans c.Gc_stats.phases c.Gc_stats.phase_ns
+    (fun phase ~start_ns ~dur_ns ->
+      emit
+        (span ~pid ~tid:mutator_tid ~name:(Gc_stats.phase_to_string phase)
+           ~cat:"gc.phase" ~ts:(us start_ns) ~dur:(dur dur_ns)
+           [ ("gc", num n) ]));
+  Array.iter
+    (fun (d : Gc_stats.domain_report) ->
+      Gc_stats.iter_spans c.Gc_stats.phases d.Gc_stats.d_phase_ns
+        (fun phase ~start_ns ~dur_ns ->
+          emit
+            (span ~pid ~tid:(gc_domain_tid d.Gc_stats.d_domain)
+               ~name:(Gc_stats.phase_to_string phase)
+               ~cat:"gc.domain" ~ts:(us start_ns) ~dur:(dur dur_ns)
+               (* Counters ride on the Cheney span (the drain is where
+                  copies, steals and CAS races happen). *)
+               (("gc", num n)
+               ::
+               (if phase = Gc_stats.Phase_cheney then
+                  [
+                    ("copied_objects", num d.Gc_stats.d_copied_objects);
+                    ("copied_words", num d.Gc_stats.d_copied_words);
+                    ("scanned_slots", num d.Gc_stats.d_scanned_slots);
+                    ("steals", num d.Gc_stats.d_steals);
+                    ("cas_retries", num d.Gc_stats.d_cas_retries);
+                  ]
+                else [])))))
+    c.Gc_stats.domains
+
 let event_json ~pid (e : Recorder.event) =
   match e with
-  | Recorder.Gc_domain d ->
-    let counters =
-      [
-        ("gc", num d.n);
-        ("copied_objects", num d.copied_objects);
-        ("copied_words", num d.copied_words);
-        ("scanned_slots", num d.scanned_slots);
-        ("steals", num d.steals);
-        ("cas_retries", num d.cas_retries);
-      ]
-    in
-    Array.to_list d.phases
-    |> List.filter_map (fun (phase, start_us, dur_us) ->
-           if dur_us <= 0.0 && phase <> Gc_stats.Phase_cheney then None
-           else
-             Some
-               (span ~pid ~tid:(gc_domain_tid d.domain)
-                  ~name:(Gc_stats.phase_to_string phase)
-                  ~cat:"gc.domain" ~ts:start_us ~dur:dur_us
-                  (* Counters ride on the Cheney span (the drain is
-                     where copies, steals and CAS races happen). *)
-                  (if phase = Gc_stats.Phase_cheney then counters
-                   else [ ("gc", num d.n) ])))
-  | Recorder.Collection c ->
-    let label =
-      Gc_stats.reason_to_string c.reason
-      ^ if c.emergency then "-emergency" else ""
-    in
-    [
-      span ~pid ~tid:mutator_tid
-        ~name:(Printf.sprintf "GC %d (%s)" c.n label)
-        ~cat:"gc" ~ts:c.start_us ~dur:c.dur_us
-        [
-        ("reason", Json.Str (Gc_stats.reason_to_string c.reason));
-        ("emergency", Json.Bool c.emergency);
-        ("full_heap", Json.Bool c.full_heap);
-        ("n", num c.n);
-        ("clock_words", num c.clock_words);
-        ("copied_words", num c.copied_words);
-        ("freed_frames", num c.freed_frames);
-          ("frames_after", num c.frames_after);
-          ("reserve_frames", num c.reserve_frames);
-        ];
-    ]
-  | Recorder.Phase p ->
-    [
-      span ~pid ~tid:mutator_tid
-        ~name:(Gc_stats.phase_to_string p.phase)
-        ~cat:"gc.phase" ~ts:p.start_us ~dur:p.dur_us
-        [ ("gc", num p.n) ];
-    ]
   | Recorder.Frame_grant f ->
-    [
-      instant ~pid ~tid:(belt_tid f.belt) ~name:"frame grant" ~cat:"frame"
-        ~ts:f.t_us
-        [ ("frame", num f.frame); ("during_gc", Json.Bool f.during_gc) ];
-    ]
+    instant ~pid ~tid:(belt_tid f.belt) ~name:"frame grant" ~cat:"frame"
+      ~ts:f.t_us
+      [ ("frame", num f.frame); ("during_gc", Json.Bool f.during_gc) ]
   | Recorder.Frame_free f ->
-    [
-      instant ~pid ~tid:(belt_tid f.belt) ~name:"frame free" ~cat:"frame"
-        ~ts:f.t_us
-        [ ("frame", num f.frame) ];
-    ]
+    instant ~pid ~tid:(belt_tid f.belt) ~name:"frame free" ~cat:"frame"
+      ~ts:f.t_us
+      [ ("frame", num f.frame) ]
   | Recorder.Belt_advance b ->
-    [
-      instant ~pid ~tid:(belt_tid b.belt) ~name:"belt advance" ~cat:"belt"
-        ~ts:b.t_us
-        [ ("inc", num b.inc_id); ("stamp", num b.stamp) ];
-    ]
+    instant ~pid ~tid:(belt_tid b.belt) ~name:"belt advance" ~cat:"belt"
+      ~ts:b.t_us
+      [ ("inc", num b.inc_id); ("stamp", num b.stamp) ]
   | Recorder.Reserve r ->
-    [
-      common ~pid ~tid:mutator_tid ~name:"copy reserve" ~cat:"reserve" ~ph:"C"
-        ~ts:r.t_us
-        [ ("args", Json.Obj [ ("frames", num r.frames) ]) ];
-    ]
+    common ~pid ~tid:mutator_tid ~name:"copy reserve" ~cat:"reserve" ~ph:"C"
+      ~ts:r.t_us
+      [ ("args", Json.Obj [ ("frames", num r.frames) ]) ]
   | Recorder.Trigger_fired tr ->
-    [
-      instant ~pid ~tid:mutator_tid
-        ~name:("trigger " ^ Gc_stats.reason_to_string tr.reason)
-        ~cat:"trigger" ~ts:tr.t_us [];
-    ]
+    instant ~pid ~tid:mutator_tid
+      ~name:("trigger " ^ Gc_stats.reason_to_string tr.reason)
+      ~cat:"trigger" ~ts:tr.t_us []
 
 let meta ~pid ~tid ~kind name =
   Json.Obj
@@ -153,8 +141,9 @@ let track_meta ~pid ~process_name rec_ =
 
 let events_json ?(pid = 1) ?(process_name = "beltway") rec_ =
   let evs = ref [] in
-  Recorder.iter_events rec_ (fun e ->
-      evs := List.rev_append (event_json ~pid e) !evs);
+  let emit e = evs := e :: !evs in
+  Recorder.iter_collections rec_ (collection_json ~pid ~emit rec_);
+  Recorder.iter_events rec_ (fun e -> emit (event_json ~pid e));
   track_meta ~pid ~process_name rec_ @ List.rev !evs
 
 let wrap traceEvents =

@@ -3,10 +3,14 @@
     Produces the JSON object format ([{"traceEvents": [...]}]) loadable
     in [chrome://tracing] and Perfetto. One track ("thread") per belt
     plus a mutator track: collection pauses and their phase spans are
-    complete ("X") events on the mutator track, frame grants/frees and
-    belt advances are instants on their belt's track, and the copy
-    reserve is a counter series. Timestamps are the recorder's
-    microseconds-since-attach, which is exactly what [ts]/[dur]
+    complete ("X") events on the mutator track, drawn from the
+    [Gc_stats.collection] records the recorder views, so every viewed
+    collection has its span whatever the ring dropped; a parallel
+    collection adds each domain's phase spans on that domain's track.
+    Frame grants/frees and belt advances are instants on their belt's
+    track, and the copy reserve is a counter series; those come from
+    the ring. Timestamps are microseconds since the recorder attached
+    ({!Recorder.us_since_attach}), which is exactly what [ts]/[dur]
     expect. *)
 
 val events_json :

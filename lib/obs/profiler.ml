@@ -1,8 +1,9 @@
 (* Object-demographics profiler: allocation-site telemetry, per-belt
-   age-at-copy curves, a belt×belt promotion matrix and an
-   occupancy/pause time series, layered entirely on [State.hooks] like
-   the recorder and the sanitizer — detached, the collector pays one
-   empty-list match per dispatch site and nothing else.
+   age-at-copy curves and a belt×belt promotion matrix, layered
+   entirely on [State.hooks] like the recorder and the sanitizer —
+   detached, the collector pays one empty-list match per dispatch site
+   and nothing else. Its occupancy/pause time series is the heap's
+   [Gc_stats.collection] records from the attach ordinal on ([View]).
 
    Objects are tracked in a side table keyed by (frame, in-frame word
    offset), exactly the granularity [Frame_table] uses for stamps:
@@ -19,7 +20,6 @@
 
 module State = Beltway.State
 module Gc_stats = Beltway.Gc_stats
-module Vec = Beltway_util.Vec
 module Histogram = Beltway_util.Histogram
 module Json = Beltway_util.Json
 
@@ -29,17 +29,6 @@ module Json = Beltway_util.Json
 let age_bucket_words = 256.0
 
 type slot = { sl_site : int; sl_birth : int; sl_words : int }
-
-type sample = {
-  s_gc : int;
-  s_clock_words : int;
-  s_frames_used : int;
-  s_reserve_frames : int;
-  s_remset_entries : int;
-  s_copied_words : int;
-  s_pause_us : float;
-  s_belt_frames : int array;
-}
 
 type t = {
   gc : Beltway.Gc.t;
@@ -59,9 +48,7 @@ type t = {
          coming from below it — "reached the oldest belt" events *)
   age_hists : Histogram.t array; (* per source belt, age at copy *)
   promotions : int array array; (* [src belt].(dst belt) object copies *)
-  series : sample Vec.t;
-  mutable open_pause_start : float; (* seconds; < 0 when none *)
-  mutable attach_clock : int; (* allocation clock at attach *)
+  view : View.t; (* the series *)
   mutable hooks : State.hooks option;
 }
 
@@ -180,25 +167,6 @@ let record_object_dead t ~addr =
     t.dead_objects.(sl.sl_site) <- t.dead_objects.(sl.sl_site) + 1;
     t.dead_words.(sl.sl_site) <- t.dead_words.(sl.sl_site) + sl.sl_words
 
-let record_collect_end t ~pause_us =
-  let st = Beltway.Gc.state t.gc in
-  let stats = st.State.stats in
-  match Gc_stats.last stats with
-  | None -> ()
-  | Some c ->
-    Vec.push t.series
-      {
-        s_gc = c.Gc_stats.n;
-        s_clock_words = c.Gc_stats.clock_words;
-        s_frames_used = st.State.frames_used;
-        s_reserve_frames = c.Gc_stats.reserve_frames;
-        s_remset_entries = Beltway.Remset.total_entries st.State.remsets;
-        s_copied_words = c.Gc_stats.copied_words;
-        s_pause_us = pause_us;
-        s_belt_frames =
-          Array.map (fun b -> Beltway.Belt.occupancy_frames b) st.State.belts;
-      }
-
 let attach gc =
   let st = Beltway.Gc.state gc in
   let nbelts = Array.length st.State.belts in
@@ -217,13 +185,7 @@ let attach gc =
         Array.init nbelts (fun _ ->
             Histogram.create ~bucket_width:age_bucket_words ());
       promotions = Array.init nbelts (fun _ -> Array.make nbelts 0);
-      series = Vec.create ~dummy:{
-        s_gc = 0; s_clock_words = 0; s_frames_used = 0; s_reserve_frames = 0;
-        s_remset_entries = 0; s_copied_words = 0; s_pause_us = 0.0;
-        s_belt_frames = [||];
-      } ();
-      open_pause_start = -1.0;
-      attach_clock = st.State.stats.Gc_stats.words_allocated;
+      view = View.attach gc;
       hooks = None;
     }
   in
@@ -234,16 +196,6 @@ let attach gc =
       on_move = (fun ~src ~dst -> record_move t ~src ~dst);
       on_frame_free = (fun ~frame ~belt:_ -> record_frame_free t ~frame);
       on_object_dead = (fun ~addr ~words:_ -> record_object_dead t ~addr);
-      on_collect_start =
-        (fun ~reason:_ ~emergency:_ -> t.open_pause_start <- Unix.gettimeofday ());
-      on_collect_end =
-        (fun ~full_heap:_ ->
-          let pause_us =
-            if t.open_pause_start < 0.0 then 0.0
-            else Float.max 0.0 ((Unix.gettimeofday () -. t.open_pause_start) *. 1e6)
-          in
-          t.open_pause_start <- -1.0;
-          record_collect_end t ~pause_us);
     }
   in
   State.add_hooks st hooks;
@@ -255,6 +207,7 @@ let detach t =
   | None -> ()
   | Some h ->
     State.remove_hooks (Beltway.Gc.state t.gc) h;
+    View.detach t.view;
     t.hooks <- None
 
 let gc t = t.gc
@@ -270,8 +223,7 @@ let site_top_belt_objects t s = get t.top_belt_objects s
 let age_histogram t ~belt = t.age_hists.(belt)
 let belts t = Array.length t.age_hists
 let promotions t = Array.map Array.copy t.promotions
-let collections t = Vec.length t.series
-let samples t = Vec.to_array t.series
+let collections t = View.length t.view
 
 (* Pretenuring hint: a site qualifies when it has allocated enough to
    matter and at least half its objects were eventually copied into
@@ -323,20 +275,18 @@ let site_json t s =
       ("pretenure", Json.Bool (pretenure_site t s));
     ]
 
-let sample_json s =
+let sample_json (c : Gc_stats.collection) =
+  let num i = Json.Num (float_of_int i) in
   Json.Obj
     [
-      ("gc", Json.Num (float_of_int s.s_gc));
-      ("clock_words", Json.Num (float_of_int s.s_clock_words));
-      ("frames_used", Json.Num (float_of_int s.s_frames_used));
-      ("reserve_frames", Json.Num (float_of_int s.s_reserve_frames));
-      ("remset_entries", Json.Num (float_of_int s.s_remset_entries));
-      ("copied_words", Json.Num (float_of_int s.s_copied_words));
-      ("pause_us", Json.Num s.s_pause_us);
-      ( "belt_frames",
-        Json.Arr
-          (Array.to_list
-             (Array.map (fun f -> Json.Num (float_of_int f)) s.s_belt_frames)) );
+      ("gc", num c.Gc_stats.n);
+      ("clock_words", num c.Gc_stats.clock_words);
+      ("frames_used", num c.Gc_stats.heap_frames_after);
+      ("reserve_frames", num c.Gc_stats.reserve_frames);
+      ("remset_entries", num c.Gc_stats.remset_entries);
+      ("copied_words", num c.Gc_stats.copied_words);
+      ("pause_us", Json.Num (float_of_int c.Gc_stats.pause_ns /. 1e3));
+      ("belt_frames", Json.Arr (Array.to_list (Array.map num c.Gc_stats.belt_frames)));
     ]
 
 let run_json ?(name = "run") t =
@@ -373,7 +323,7 @@ let run_json ?(name = "run") t =
                     (Array.to_list
                        (Array.map (fun n -> Json.Num (float_of_int n)) row)))
                 t.promotions)) );
-      ("series", Json.Arr (Vec.fold (fun acc s -> sample_json s :: acc) [] t.series |> List.rev));
+      ("series", Json.Arr (List.map sample_json (View.to_list t.view)));
     ]
 
 let runs_json runs = Json.Obj [ ("schema", Json.Str schema); ("runs", Json.Arr runs) ]

@@ -4,8 +4,10 @@
     sanitizer — zero cost detached) and accumulates, per allocation
     site: object/word counts, copies (survivals), deaths and arrivals
     at the top belt; per belt: an age-at-copy histogram; plus a
-    belt×belt promotion matrix and an occupancy/remset/pause time
-    series sampled at every collection end.
+    belt×belt promotion matrix. Its occupancy/remset/pause time series
+    is a view of the heap's [Gc_stats.collection] records from the
+    attach ordinal on: the profiler keeps no stopwatch, so its pause
+    times are the ones every other observer reports.
 
     Sites are interned in the heap's registry
     ({!Beltway.Gc.register_site}); instrumented mutators stamp
@@ -19,17 +21,6 @@
     grid checks it exactly against the Shadow heap's lifetime oracle. *)
 
 type t
-
-type sample = {
-  s_gc : int;  (** collection ordinal *)
-  s_clock_words : int;  (** allocation clock at the collection *)
-  s_frames_used : int;
-  s_reserve_frames : int;
-  s_remset_entries : int;
-  s_copied_words : int;
-  s_pause_us : float;  (** wall-clock pause (not deterministic) *)
-  s_belt_frames : int array;  (** per-belt occupancy, LOS included *)
-}
 
 val age_bucket_words : float
 (** Bucket width of the per-belt age-at-copy histograms, in
@@ -84,7 +75,8 @@ val pretenure_sites : t -> int list
 (** {2 Time series} *)
 
 val collections : t -> int
-val samples : t -> sample array
+(** Collections completed between attach and detach (or now, while
+    attached): the entries of the exported [series]. *)
 
 (** {2 Export} *)
 
@@ -92,7 +84,10 @@ val schema : string
 (** ["beltway-profile/1"]. *)
 
 val run_json : ?name:string -> t -> Beltway_util.Json.t
-(** One run object (sites, belts, promotion matrix, series). *)
+(** One run object (sites, belts, promotion matrix, series). Each
+    [series] entry is one viewed collection record: ordinal,
+    allocation clock, frames held after it, copy reserve, remset
+    entries, copied words, pause in microseconds, per-belt frames. *)
 
 val runs_json : Beltway_util.Json.t list -> Beltway_util.Json.t
 (** Wrap run objects in the versioned envelope. *)

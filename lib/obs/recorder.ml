@@ -1,42 +1,12 @@
 module State = Beltway.State
 module Gc_stats = Beltway.Gc_stats
-module Vec = Beltway_util.Vec
 
 type event =
-  | Collection of {
-      n : int;
-      reason : Gc_stats.reason;
-      emergency : bool;
-      full_heap : bool;
-      start_us : float;
-      dur_us : float;
-      clock_words : int;
-      copied_words : int;
-      freed_frames : int;
-      frames_after : int;
-      reserve_frames : int;
-    }
-  | Phase of {
-      n : int;
-      phase : Gc_stats.gc_phase;
-      start_us : float;
-      dur_us : float;
-    }
   | Frame_grant of { t_us : float; frame : int; belt : int; during_gc : bool }
   | Frame_free of { t_us : float; frame : int; belt : int }
   | Belt_advance of { t_us : float; belt : int; inc_id : int; stamp : int }
   | Reserve of { t_us : float; frames : int }
   | Trigger_fired of { t_us : float; reason : Gc_stats.reason }
-  | Gc_domain of {
-      n : int;
-      domain : int;
-      phases : (Gc_stats.gc_phase * float * float) array;
-      copied_objects : int;
-      copied_words : int;
-      scanned_slots : int;
-      steals : int;
-      cas_retries : int;
-    }
 
 let default_capacity = 1 lsl 16
 
@@ -44,19 +14,13 @@ type t = {
   gc : Beltway.Gc.t;
   ring : event Ring.t;
   metrics : Metrics.t;
-  t0 : float; (* wall clock at attach, seconds *)
-  pause_starts_us : float Vec.t;
-  pause_durs_us : float Vec.t;
-  mutable open_collection : float; (* start_us; < 0 when none *)
-  mutable open_phase : Gc_stats.gc_phase option;
-  mutable open_phase_start : float;
-  mutable last_pause_end_us : float; (* < 0 before the first pause *)
+  t0_ns : int; (* [Gc_stats.now_ns] at attach *)
+  view : View.t;
   mutable hooks : State.hooks option;
-  mutable saved_clock : (unit -> float) option;
-      (* heap clock in force before attach, restored on detach *)
 }
 
-let now_us t = (Unix.gettimeofday () -. t.t0) *. 1e6
+let us_since_attach t ns = float_of_int (ns - t.t0_ns) /. 1e3
+let now_us t = us_since_attach t (Gc_stats.now_ns ())
 
 (* Histogram bucket widths, chosen for the magnitudes this simulation
    produces (microsecond-scale pauses, kilobyte-scale copies). *)
@@ -66,42 +30,24 @@ let copied_bytes_width = 4_096.0
 let remset_slots_width = 16.0
 let frames_width = 1.0
 
-let record_collection_end t ~full_heap =
+(* Metrics from the record of the collection just ended. *)
+let record_collection_end t =
   let st = Beltway.Gc.state t.gc in
-  let stats = st.State.stats in
-  let n = Gc_stats.gcs stats in
-  if n > 0 && t.open_collection >= 0.0 then begin
-    let c = Vec.get stats.Gc_stats.collections (n - 1) in
-    let start_us = t.open_collection in
-    let end_us = now_us t in
-    let dur_us = Float.max 0.0 (end_us -. start_us) in
-    t.open_collection <- -1.0;
-    Ring.push t.ring
-      (Collection
-         {
-           n = c.Gc_stats.n;
-           reason = c.Gc_stats.reason;
-           emergency = c.Gc_stats.emergency;
-           full_heap;
-           start_us;
-           dur_us;
-           clock_words = c.Gc_stats.clock_words;
-           copied_words = c.Gc_stats.copied_words;
-           freed_frames = c.Gc_stats.freed_frames;
-           frames_after = c.Gc_stats.heap_frames_after;
-           reserve_frames = c.Gc_stats.reserve_frames;
-         });
-    Vec.push t.pause_starts_us start_us;
-    Vec.push t.pause_durs_us dur_us;
+  let i = View.length t.view - 1 in
+  if i >= 0 then begin
+    let c = View.get t.view i in
     let m = t.metrics in
     Metrics.incr m "gc.collections";
-    if full_heap then Metrics.incr m "gc.full_heap";
+    if c.Gc_stats.full_heap then Metrics.incr m "gc.full_heap";
     if c.Gc_stats.emergency then Metrics.incr m "gc.emergency";
-    Metrics.observe m ~bucket_width:pause_ns_width "gc.pause_ns" (dur_us *. 1e3);
-    if t.last_pause_end_us >= 0.0 then
+    Metrics.observe m ~bucket_width:pause_ns_width "gc.pause_ns"
+      (float_of_int c.Gc_stats.pause_ns);
+    if i > 0 then begin
+      let prev = View.get t.view (i - 1) in
       Metrics.observe m ~bucket_width:interval_ns_width "gc.pause_interval_ns"
-        ((start_us -. t.last_pause_end_us) *. 1e3);
-    t.last_pause_end_us <- end_us;
+        (float_of_int
+           (c.Gc_stats.start_ns - prev.Gc_stats.start_ns - prev.Gc_stats.pause_ns))
+    end;
     Metrics.observe m ~bucket_width:copied_bytes_width "gc.copied_bytes"
       (float_of_int (c.Gc_stats.copied_words * Addr.bytes_per_word));
     (* In-place strategy volumes. Guarded on nonzero so a copying run
@@ -118,80 +64,54 @@ let record_collection_end t ~full_heap =
         (float_of_int (c.Gc_stats.moved_words * Addr.bytes_per_word));
     Metrics.observe m ~bucket_width:remset_slots_width "gc.remset_slots"
       (float_of_int c.Gc_stats.remset_slots);
-    Metrics.set_gauge m "heap.frames_used" (float_of_int st.State.frames_used);
-    Metrics.set_gauge m "remset.entries"
-      (float_of_int (Beltway.Remset.total_entries st.State.remsets));
+    Metrics.set_gauge m "heap.frames_used" (float_of_int c.Gc_stats.heap_frames_after);
+    Metrics.set_gauge m "remset.entries" (float_of_int c.Gc_stats.remset_entries);
     (* Occupancy telemetry: per-belt (named tracks) and per-increment
        (one pooled distribution). *)
-    Array.iter
-      (fun belt ->
-        let bi = Beltway.Belt.index belt in
-        let occ = float_of_int (Beltway.Belt.occupancy_frames belt) in
+    Array.iteri
+      (fun bi frames ->
+        let occ = float_of_int frames in
         Metrics.set_gauge m (Printf.sprintf "belt.%d.frames" bi) occ;
         Metrics.observe m ~bucket_width:frames_width
           (Printf.sprintf "belt.%d.occupancy_frames" bi)
           occ)
-      st.State.belts;
+      c.Gc_stats.belt_frames;
     List.iter
       (fun (inc : Beltway.Increment.t) ->
         Metrics.observe m ~bucket_width:frames_width "increment.occupancy_frames"
           (float_of_int (Beltway.Increment.occupancy_frames inc)))
-      (State.live_increments st)
+      (State.live_increments st);
+    (* A parallel collection's per-domain shares. *)
+    if Array.length c.Gc_stats.domains > 1 then begin
+      Metrics.set_gauge m "gc.domains"
+        (float_of_int (Array.length c.Gc_stats.domains));
+      Array.iter
+        (fun (d : Gc_stats.domain_report) ->
+          Metrics.incr ~by:d.Gc_stats.d_steals m "gc.par.steals";
+          Metrics.incr ~by:d.Gc_stats.d_cas_retries m "gc.par.cas_retries";
+          Metrics.observe m ~bucket_width:copied_bytes_width
+            (Printf.sprintf "gc.domain.%d.copied_bytes" d.Gc_stats.d_domain)
+            (float_of_int (d.Gc_stats.d_copied_words * Addr.bytes_per_word)))
+        c.Gc_stats.domains
+    end
   end
 
 let attach ?(capacity = default_capacity) gc =
+  let st = Beltway.Gc.state gc in
   let t =
     {
       gc;
       ring = Ring.create ~capacity ~dummy:(Reserve { t_us = 0.0; frames = 0 });
       metrics = Metrics.create ();
-      t0 = Unix.gettimeofday ();
-      pause_starts_us = Vec.create ~dummy:0.0 ();
-      pause_durs_us = Vec.create ~dummy:0.0 ();
-      open_collection = -1.0;
-      open_phase = None;
-      open_phase_start = 0.0;
-      last_pause_end_us = -1.0;
+      t0_ns = Gc_stats.now_ns ();
+      view = View.attach gc;
       hooks = None;
-      saved_clock = None;
     }
   in
-  let st = Beltway.Gc.state gc in
-  (* The parallel collector stamps per-domain phase windows with the
-     heap's clock; point it at the recorder's timebase so those
-     windows land on the same axis as every other event. *)
-  t.saved_clock <- Some st.State.clock_us;
-  st.State.clock_us <- (fun () -> now_us t);
-  (* Phases fire inside a collection, before its record is pushed, so
-     the in-flight collection's ordinal is one past the completed
-     count. *)
-  let gc_ordinal () = Gc_stats.gcs st.State.stats + 1 in
   let hooks =
     {
       State.noop_hooks with
-      State.on_collect_start =
-        (fun ~reason:_ ~emergency:_ -> t.open_collection <- now_us t);
-      on_collect_end = (fun ~full_heap -> record_collection_end t ~full_heap);
-      on_gc_phase =
-        (fun ~phase ~enter ->
-          if enter then begin
-            t.open_phase <- Some phase;
-            t.open_phase_start <- now_us t
-          end
-          else begin
-            (match t.open_phase with
-            | Some p when p = phase ->
-              Ring.push t.ring
-                (Phase
-                   {
-                     n = gc_ordinal ();
-                     phase;
-                     start_us = t.open_phase_start;
-                     dur_us = Float.max 0.0 (now_us t -. t.open_phase_start);
-                   })
-            | _ -> ());
-            t.open_phase <- None
-          end);
+      State.on_collect_end = (fun ~full_heap:_ -> record_collection_end t);
       on_frame_grant =
         (fun ~frame ~belt ~during_gc ->
           Metrics.incr t.metrics "frames.granted";
@@ -216,34 +136,6 @@ let attach ?(capacity = default_capacity) gc =
         (fun ~entries ->
           Metrics.incr t.metrics "barrier.slow";
           Metrics.set_gauge t.metrics "remset.entries" (float_of_int entries));
-      on_gc_domains =
-        (fun ~reports ->
-          (* Fired after the collection's record is pushed, so the
-             completed count is this collection's ordinal. *)
-          let n = Gc_stats.gcs st.State.stats in
-          Metrics.set_gauge t.metrics "gc.domains"
-            (float_of_int (Array.length reports));
-          Array.iter
-            (fun (r : State.par_report) ->
-              Ring.push t.ring
-                (Gc_domain
-                   {
-                     n;
-                     domain = r.State.pr_domain;
-                     phases = r.State.pr_phases;
-                     copied_objects = r.State.pr_copied_objects;
-                     copied_words = r.State.pr_copied_words;
-                     scanned_slots = r.State.pr_scanned_slots;
-                     steals = r.State.pr_steals;
-                     cas_retries = r.State.pr_cas_retries;
-                   });
-              Metrics.incr ~by:r.State.pr_steals t.metrics "gc.par.steals";
-              Metrics.incr ~by:r.State.pr_cas_retries t.metrics
-                "gc.par.cas_retries";
-              Metrics.observe t.metrics ~bucket_width:copied_bytes_width
-                (Printf.sprintf "gc.domain.%d.copied_bytes" r.State.pr_domain)
-                (float_of_int (r.State.pr_copied_words * Addr.bytes_per_word)))
-            reports);
     }
   in
   State.add_hooks st hooks;
@@ -254,13 +146,8 @@ let detach t =
   match t.hooks with
   | None -> ()
   | Some h ->
-    let st = Beltway.Gc.state t.gc in
-    State.remove_hooks st h;
-    (match t.saved_clock with
-    | Some c ->
-      st.State.clock_us <- c;
-      t.saved_clock <- None
-    | None -> ());
+    State.remove_hooks (Beltway.Gc.state t.gc) h;
+    View.detach t.view;
     t.hooks <- None
 
 let domain_copied_bytes t =
@@ -285,9 +172,17 @@ let events t = Ring.to_list t.ring
 let iter_events t f = Ring.iter t.ring f
 let event_count t = Ring.length t.ring
 let dropped t = Ring.dropped t.ring
-let collections t = Vec.length t.pause_durs_us
-let pause_starts_us t = Vec.to_array t.pause_starts_us
-let pause_durs_us t = Vec.to_array t.pause_durs_us
+
+let collections t = View.length t.view
+let iter_collections t f = View.iter t.view f
+
+let pause_starts_us t =
+  Array.init (collections t) (fun i ->
+      us_since_attach t (View.get t.view i).Gc_stats.start_ns)
+
+let pause_durs_us t =
+  Array.init (collections t) (fun i ->
+      float_of_int (View.get t.view i).Gc_stats.pause_ns /. 1e3)
 
 let env_file () =
   match Sys.getenv_opt "BELTWAY_TRACE" with

@@ -1,60 +1,31 @@
 (** The GC flight recorder.
 
     Attached to a heap via [State.hooks], the recorder keeps a
-    fixed-capacity {!Ring} of structured events — collection pauses
-    with their phase spans (roots, remset/card drain, Cheney copy,
-    frame free), frame grants and frees, belt advances, copy-reserve
-    samples, trigger firings — each stamped on the wall clock
-    (microseconds since attach) and, for collections, the allocation
-    clock. Alongside the ring it aggregates a {!Metrics} registry
-    (pause and interval distributions, bytes copied, per-belt and
-    per-increment occupancy, remembered-set pressure).
+    fixed-capacity {!Ring} of structured instants — frame grants and
+    frees, belt advances, copy-reserve samples, trigger firings — each
+    stamped in microseconds since attach on the collector's clock
+    ([Gc_stats.now_ns]). Collections are not copied into the ring:
+    their pauses, phase spans and per-domain shares are the heap's own
+    [Gc_stats.collection] records, which the recorder views from its
+    attach ordinal on ({!iter_collections}), so its pause log is
+    complete whatever the ring drops. Alongside it aggregates a
+    {!Metrics} registry (pause and interval distributions, bytes
+    copied, per-belt and per-increment occupancy, remembered-set
+    pressure), read from each record as the collection ends.
 
-    Cost when detached: zero — no recorder state exists and every hook
-    dispatch site in the collector short-circuits on the empty hook
-    list. Cost when attached: O(1) per event, no per-slot or
-    barrier-fast-path instrumentation. *)
+    The recorder times nothing itself. Detached, it costs nothing
+    beyond what every collection pays for its record: about ten reads
+    of [Gc_stats.now_ns] per collection (see DESIGN.md §4c). Attached,
+    O(1) per event, no per-slot or barrier-fast-path
+    instrumentation. *)
 
 type event =
-  | Collection of {
-      n : int;
-      reason : Beltway.Gc_stats.reason;
-      emergency : bool;
-      full_heap : bool;
-      start_us : float;
-      dur_us : float;
-      clock_words : int;  (** allocation clock at pause start *)
-      copied_words : int;
-      freed_frames : int;
-      frames_after : int;
-      reserve_frames : int;
-    }  (** one complete collection pause *)
-  | Phase of {
-      n : int;  (** ordinal of the enclosing collection *)
-      phase : Beltway.Gc_stats.gc_phase;
-      start_us : float;
-      dur_us : float;
-    }  (** one phase span, nested inside collection [n]'s pause *)
   | Frame_grant of { t_us : float; frame : int; belt : int; during_gc : bool }
   | Frame_free of { t_us : float; frame : int; belt : int }
   | Belt_advance of { t_us : float; belt : int; inc_id : int; stamp : int }
   | Reserve of { t_us : float; frames : int }
       (** copy reserve sampled at the end of a collection *)
   | Trigger_fired of { t_us : float; reason : Beltway.Gc_stats.reason }
-  | Gc_domain of {
-      n : int;  (** ordinal of the enclosing collection *)
-      domain : int;
-      phases : (Beltway.Gc_stats.gc_phase * float * float) array;
-          (** (phase, start_us, dur_us): this domain's share of the
-              roots, remset/card and Cheney phases *)
-      copied_objects : int;
-      copied_words : int;
-      scanned_slots : int;
-      steals : int;  (** grey objects taken from other domains' deques *)
-      cas_retries : int;  (** forwarding races lost (copy discarded) *)
-    }
-      (** one GC domain's contribution to a parallel collection
-          ([gc_domains] > 1 only) *)
 
 type t
 
@@ -81,16 +52,21 @@ val dropped : t -> int
 (** Events lost to ring overflow. *)
 
 val collections : t -> int
-(** Complete pauses recorded (grows without bound; pauses are also kept
-    outside the ring for the MMU cross-check). *)
+(** Collections completed between attach and detach (or now, while
+    attached). *)
+
+val iter_collections : t -> (Beltway.Gc_stats.collection -> unit) -> unit
+(** The heap's records of those collections, in order. *)
+
+val us_since_attach : t -> int -> float
+(** A [Gc_stats.now_ns] reading as microseconds since attach: the
+    time axis of {!event}s and of the exported trace. *)
 
 val pause_starts_us : t -> float array
-(** Wall-clock start of every recorded pause, in collection order. *)
+(** Start of every viewed pause, in microseconds since attach. *)
 
 val pause_durs_us : t -> float array
-(** Wall-clock duration of every recorded pause, in collection order —
-    the recorded timeline [Beltway_sim.Mmu.crosscheck] compares against
-    the cost-model reconstruction. *)
+(** Duration of every viewed pause, in microseconds. *)
 
 val domain_copied_bytes : t -> Beltway_util.Histogram.t option
 (** The per-domain [gc.domain.<d>.copied_bytes] histograms merged into

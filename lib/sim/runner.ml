@@ -65,10 +65,13 @@ let run_profiled ?(model = Cost_model.default) ?gc_domains ~bench ~config
   Beltway_obs.Profiler.detach profiler;
   (result, profiler)
 
-let crosscheck_mmu ?(model = Cost_model.default) result recorder =
+let crosscheck_mmu ?(model = Cost_model.default) result =
   let tl = Mmu.timeline model result.stats in
   Mmu.crosscheck tl
-    ~recorded_durs:(Beltway_obs.Recorder.pause_durs_us recorder)
+    ~recorded_durs:
+      (Array.map
+         (fun c -> float_of_int c.Gc_stats.pause_ns)
+         (Beltway_util.Vec.to_array result.stats.Gc_stats.collections))
 
 (* The memo is only ever touched from the submitting domain: pool
    tasks run the search below and results are recorded on return. *)

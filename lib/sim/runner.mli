@@ -68,11 +68,10 @@ val run_profiled :
     accumulated data is stable. Export with
     [Beltway_obs.Profiler.run_json]. *)
 
-val crosscheck_mmu :
-  ?model:Cost_model.t -> result -> Beltway_obs.Recorder.t -> Mmu.drift
+val crosscheck_mmu : ?model:Cost_model.t -> result -> Mmu.drift
 (** Compare the cost-model pause timeline reconstructed from
-    [result.stats] against the recorder's wall-clock pause log (see
-    {!Mmu.crosscheck}). *)
+    [result.stats] against the wall-clock pauses the same records
+    carry (see {!Mmu.crosscheck}). *)
 
 val min_heap_frames :
   ?config:Config.t -> Beltway_workload.Spec.t -> int

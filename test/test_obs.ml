@@ -59,6 +59,8 @@ let test_ring () =
 
 (* ---- pause spans vs the collection log ---- *)
 
+let records stats = Beltway_util.Vec.to_list stats.Gc_stats.collections
+
 let test_pause_agreement () =
   let gc, r = traced_run () in
   let stats = Gc.stats gc in
@@ -66,64 +68,125 @@ let test_pause_agreement () =
   checkb "run collected" true (gcs > 10);
   checki "recorder saw every pause" gcs (Recorder.collections r);
   checki "pause arrays aligned" gcs (Array.length (Recorder.pause_durs_us r));
-  let collection_events =
-    List.filter
-      (function Recorder.Collection _ -> true | _ -> false)
-      (Recorder.events r)
-  in
   checki "nothing dropped" 0 (Recorder.dropped r);
-  checki "one span per logged collection" gcs (List.length collection_events);
-  List.iteri
-    (fun i ev ->
-      match ev with
-      | Recorder.Collection { n; reason; emergency; clock_words; copied_words; _ }
-        ->
-        let logged = Beltway_util.Vec.get stats.Gc_stats.collections i in
-        checki "ordinal" logged.Gc_stats.n n;
-        checkb "reason" true (logged.Gc_stats.reason = reason);
-        checkb "emergency" logged.Gc_stats.emergency emergency;
-        checki "clock" logged.Gc_stats.clock_words clock_words;
-        checki "copied" logged.Gc_stats.copied_words copied_words
-      | _ -> ())
-    collection_events;
-  (* Pause starts ascend and durations are non-negative. *)
+  let viewed = ref [] in
+  Recorder.iter_collections r (fun c -> viewed := c :: !viewed);
+  checkb "the recorder views the collection log" true
+    (List.for_all2 ( == ) (records stats) (List.rev !viewed));
+  (* Pause starts ascend, durations are non-negative and are the
+     records' own. *)
   let starts = Recorder.pause_starts_us r in
   let durs = Recorder.pause_durs_us r in
-  Array.iteri
-    (fun i s ->
+  List.iteri
+    (fun i c ->
+      checki "ordinal" i c.Gc_stats.n;
       checkb "dur >= 0" true (durs.(i) >= 0.0);
-      if i > 0 then checkb "starts ascend" true (s >= starts.(i - 1)))
-    starts
+      checkf "dur is the record's" (float_of_int c.Gc_stats.pause_ns /. 1e3) durs.(i);
+      if i > 0 then checkb "starts ascend" true (starts.(i) >= starts.(i - 1)))
+    (records stats)
+
+(* Every record carries its phases in pipeline order, each inside the
+   pause and none overlapping the next. *)
+let check_phases ~label (c : Gc_stats.collection) =
+  let pause_end = c.Gc_stats.start_ns + c.Gc_stats.pause_ns in
+  let prev_end = ref c.Gc_stats.start_ns in
+  checki (label ^ ": one span per phase") (2 * Array.length c.Gc_stats.phases)
+    (Array.length c.Gc_stats.phase_ns);
+  Gc_stats.iter_spans c.Gc_stats.phases c.Gc_stats.phase_ns
+    (fun phase ~start_ns ~dur_ns ->
+      let name = label ^ " " ^ Gc_stats.phase_to_string phase in
+      checkb (name ^ " dur >= 0") true (dur_ns >= 0);
+      checkb (name ^ " after the previous phase") true (start_ns >= !prev_end);
+      prev_end := start_ns + dur_ns);
+  checkb (label ^ ": phases inside the pause") true (!prev_end <= pause_end)
 
 let test_phase_spans () =
-  let gc, r = traced_run () in
-  let gcs = Gc_stats.gcs (Gc.stats gc) in
-  let seen = ref 0 in
-  let saw_cheney = ref false and saw_free = ref false in
+  let gc, _ = traced_run () in
   List.iter
-    (function
-      | Recorder.Phase { n; phase; dur_us; _ } ->
-        incr seen;
-        checkb "phase belongs to a logged GC" true (n >= 1 && n <= gcs);
-        checkb "phase dur >= 0" true (dur_us >= 0.0);
-        (match phase with
-        | Gc_stats.Phase_cheney -> saw_cheney := true
-        | Gc_stats.Phase_free -> saw_free := true
-        | _ -> ())
-      | _ -> ())
-    (Recorder.events r);
-  checkb "phase spans recorded" true (!seen > 0);
-  checkb "cheney phase present" true !saw_cheney;
-  checkb "free phase present" true !saw_free
+    (fun (c : Gc_stats.collection) ->
+      check_phases ~label:(Printf.sprintf "GC %d" c.Gc_stats.n) c;
+      checkb "copying pipeline" true
+        (c.Gc_stats.phases
+        = [| Gc_stats.Phase_roots; Gc_stats.Phase_remset; Gc_stats.Phase_cheney;
+             Gc_stats.Phase_free |]))
+    (records (Gc.stats gc))
 
 let test_ring_overflow_keeps_pauses () =
   let gc, r = traced_run ~capacity:8 () in
   let gcs = Gc_stats.gcs (Gc.stats gc) in
   checki "ring clamps retained events" 8 (Recorder.event_count r);
   checkb "overflow counted" true (Recorder.dropped r > 0);
-  (* The pause log lives outside the ring, so the cross-check still
-     sees every collection. *)
+  (* The pause log is the heap's own, so the cross-check still sees
+     every collection. *)
   checki "pauses survive overflow" gcs (Recorder.collections r)
+
+(* The exported trace draws pause and phase spans from the collection
+   records, so a ring that dropped almost everything still yields one
+   GC span per collection, each with its four phase spans. *)
+let test_overflowed_trace_keeps_spans () =
+  let gc, r = traced_run ~capacity:8 () in
+  let gcs = Gc_stats.gcs (Gc.stats gc) in
+  checkb "overflowed" true (Recorder.dropped r > 0);
+  let json = Chrome_trace.to_json r in
+  let events =
+    Option.get (Option.bind (Json.member "traceEvents" json) Json.to_list)
+  in
+  let str e name = Option.bind (Json.member name e) Json.to_str in
+  let arg e name =
+    Option.bind (Json.member "args" e) (fun a ->
+        Option.bind (Json.member name a) Json.to_float)
+  in
+  let spans cat =
+    List.filter (fun e -> str e "ph" = Some "X" && str e "cat" = Some cat) events
+  in
+  let gc_spans = spans "gc" and phase_spans = spans "gc.phase" in
+  checki "one GC span per logged collection" gcs (List.length gc_spans);
+  List.iter
+    (fun (c : Gc_stats.collection) ->
+      let n = float_of_int c.Gc_stats.n in
+      checki
+        (Printf.sprintf "GC %d span" c.Gc_stats.n)
+        1
+        (List.length (List.filter (fun e -> arg e "n" = Some n) gc_spans));
+      Alcotest.(check (list string))
+        (Printf.sprintf "GC %d phase spans" c.Gc_stats.n)
+        (List.map Gc_stats.phase_to_string (Array.to_list c.Gc_stats.phases))
+        (List.filter_map
+           (fun e -> if arg e "gc" = Some n then str e "name" else None)
+           phase_spans))
+    (records (Gc.stats gc))
+
+(* A recorder and a profiler attached to one heap read one record per
+   collection, so they report the same pause for every collection. *)
+let test_observers_agree_on_pauses () =
+  let gc = Gc.create ~config:(cfg "25.25.100") ~heap_bytes:(256 * 1024) () in
+  let recorder = Recorder.attach gc in
+  let profiler = Beltway_obs.Profiler.attach gc in
+  let ty = Gc.register_type gc ~name:"obs.agree" in
+  let roots = Roots.new_global (Gc.roots gc) Value.null in
+  for i = 1 to 40_000 do
+    let a = Gc.alloc gc ~ty ~nfields:2 in
+    if i mod 64 = 0 then Roots.set_global (Gc.roots gc) roots (Value.of_addr a)
+    else Gc.write gc a 1 (Roots.get_global (Gc.roots gc) roots)
+  done;
+  Beltway_obs.Profiler.detach profiler;
+  Recorder.detach recorder;
+  let series =
+    Option.get
+      (Option.bind
+         (Json.member "series" (Beltway_obs.Profiler.run_json profiler))
+         Json.to_list)
+  in
+  let profiled =
+    List.map
+      (fun s -> Option.get (Option.bind (Json.member "pause_us" s) Json.to_float))
+      series
+  in
+  checkb "collected" true (List.length profiled > 5);
+  Alcotest.(check (list (float 0.0)))
+    "same pause for every collection"
+    (Array.to_list (Recorder.pause_durs_us recorder))
+    profiled
 
 let test_detach_restores_zero_cost () =
   let gc, _ = traced_run () in
@@ -220,19 +283,20 @@ let test_crosscheck_real_run () =
   checkb "shares are fractions" true
     (d.Mmu.mean_share_dev >= 0.0 && d.Mmu.max_share_dev <= 1.0)
 
-(* ---- phase-span balance and order (raw hooks) ---- *)
+(* ---- phase-span balance and order (raw hooks and the record) ---- *)
 
 (* Every phase-span begin must have a matching end, strictly inside
-   its collection's start/end pair — the invariant the recorder's span
-   reconstruction and the profiler's sampling both lean on. Each
-   collection must also run the pipeline's phases in order: roots, the
-   remembered slots or dirty cards (per the barrier), the grey-set
-   drain (Cheney or mark, per the strategy), then the reclaim (frame
-   free, sweep or compact); and [on_gc_domains] fires once, before the
-   collection ends, exactly when more than one domain collects.
-   Checked with raw hooks (no observer in between) across a config
-   grid, every registered policy's and strategy's exemplar
-   configuration, and copying on two domains. *)
+   its collection's start/end pair. Each collection must also run the
+   pipeline's phases in order: roots, the remembered slots or dirty
+   cards (per the barrier), the grey-set drain (Cheney or mark, per
+   the strategy), then the reclaim (frame free, sweep or compact); its
+   record, already pushed when [on_collect_end] fires, lists those
+   phases with their times in order, and carries one domain report per
+   domain, each with its roots, drain and Cheney shares in order,
+   exactly when more than one domain collects. Checked with raw hooks
+   (no observer in between) across a config grid, every registered
+   policy's and strategy's exemplar configuration, and copying on two
+   domains. *)
 let test_phase_span_balance () =
   let exemplars =
     List.map (fun (name, _) -> Beltway.Policy.exemplar name)
@@ -261,7 +325,7 @@ let test_phase_span_balance () =
           [ Gc_stats.Phase_mark; Gc_stats.Phase_compact ]
       in
       let in_gc = ref false and open_spans = Hashtbl.create 8 in
-      let entered = ref [] and domain_reports = ref 0 in
+      let entered = ref [] in
       let collect_ends = ref 0 in
       let bad = ref [] in
       let fail fmt = Printf.ksprintf (fun m -> bad := m :: !bad) fmt in
@@ -272,8 +336,7 @@ let test_phase_span_balance () =
             (fun ~reason:_ ~emergency:_ ->
               if !in_gc then fail "%s: nested collection" label;
               in_gc := true;
-              entered := [];
-              domain_reports := 0);
+              entered := []);
           on_gc_phase =
             (fun ~phase ~enter ->
               if not !in_gc then fail "%s: phase span outside a collection" label;
@@ -290,12 +353,6 @@ let test_phase_span_balance () =
               else if n = 0 then
                 fail "%s: phase leave without a matching enter" label
               else Hashtbl.replace open_spans phase (n - 1));
-          on_gc_domains =
-            (fun ~reports ->
-              if not !in_gc then fail "%s: domain reports outside a collection" label;
-              if Array.length reports <> gc_domains then
-                fail "%s: %d domain report(s)" label (Array.length reports);
-              incr domain_reports);
           on_collect_end =
             (fun ~full_heap:_ ->
               Hashtbl.iter
@@ -307,8 +364,34 @@ let test_phase_span_balance () =
               if seq <> expected then
                 fail "%s: phases %s" label
                   (String.concat "," (List.map Gc_stats.phase_to_string seq));
-              if !domain_reports <> (if gc_domains > 1 then 1 else 0) then
-                fail "%s: on_gc_domains fired %d time(s)" label !domain_reports;
+              let c = Option.get (Gc_stats.last (Gc.stats gc)) in
+              if c.Gc_stats.n <> !collect_ends then
+                fail "%s: record %d at collection end %d" label c.Gc_stats.n
+                  !collect_ends;
+              if Array.to_list c.Gc_stats.phases <> expected then
+                fail "%s: recorded phases %s" label
+                  (String.concat ","
+                     (List.map Gc_stats.phase_to_string
+                        (Array.to_list c.Gc_stats.phases)));
+              check_phases ~label c;
+              let domains = c.Gc_stats.domains in
+              if Array.length domains <> (if gc_domains > 1 then gc_domains else 0)
+              then fail "%s: %d domain report(s)" label (Array.length domains);
+              Array.iteri
+                (fun i (d : Gc_stats.domain_report) ->
+                  if d.Gc_stats.d_domain <> i then
+                    fail "%s: report %d names domain %d" label i d.Gc_stats.d_domain;
+                  if Array.length d.Gc_stats.d_phase_ns <> 6 then
+                    fail "%s: domain %d has %d phase time(s)" label i
+                      (Array.length d.Gc_stats.d_phase_ns);
+                  let prev_end = ref c.Gc_stats.start_ns in
+                  Gc_stats.iter_spans c.Gc_stats.phases d.Gc_stats.d_phase_ns
+                    (fun phase ~start_ns ~dur_ns ->
+                      if dur_ns < 0 || start_ns < !prev_end then
+                        fail "%s: domain %d %s out of order" label i
+                          (Gc_stats.phase_to_string phase);
+                      prev_end := start_ns + dur_ns))
+                domains;
               in_gc := false;
               incr collect_ends);
         }
@@ -386,6 +469,8 @@ let suite =
     ("pause spans match the collection log", `Quick, test_pause_agreement);
     ("phase spans", `Quick, test_phase_spans);
     ("ring overflow keeps the pause log", `Quick, test_ring_overflow_keeps_pauses);
+    ("overflowed ring keeps trace spans", `Quick, test_overflowed_trace_keeps_spans);
+    ("recorder and profiler agree on pauses", `Quick, test_observers_agree_on_pauses);
     ("detach restores the empty hook list", `Quick, test_detach_restores_zero_cost);
     ("phase-span balance across configs and policies", `Quick,
      test_phase_span_balance);

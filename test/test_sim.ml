@@ -41,6 +41,13 @@ let stats_with ~words collections =
           freed_frames = 1;
           heap_frames_after = 1;
           reserve_frames = 1;
+          start_ns = 0;
+          pause_ns = 0;
+          phases = [||];
+          phase_ns = [||];
+          belt_frames = [| 1 |];
+          remset_entries = 0;
+          domains = [||];
         })
     collections;
   s
