@@ -39,10 +39,10 @@ let literal_bool = function
   | Sexp.Atom "#f" | Sexp.Atom "nil" -> Some false
   | Sexp.List [] -> Some false
   | Sexp.Atom a -> (
-    match int_of_string_opt a with
-    | Some 0 -> Some false
-    | Some _ -> Some true
-    | None -> None)
+    match Ast.int_literal a with
+    | `Int 0 -> Some false
+    | `Int _ -> Some true
+    | `Out_of_range | `Symbol -> None)
   | _ -> None
 
 (* Heap-allocating expressions, syntactically. Closures are reported
@@ -113,13 +113,28 @@ let pretenure_note ctx ~kind ~sink =
     "%s %s likely outlives its creating scope: a candidate for alloc_pretenured (belt >= 1)%s"
     kind sink (where ctx)
 
+(* Whether atom [a] is an integer literal; an out-of-range one is an
+   error, as in the resolver. *)
+let literal ctx a =
+  match Ast.int_literal a with
+  | `Int _ -> true
+  | `Out_of_range ->
+    add ctx Error "int-range" "integer literal out of range: %s%s" a (where ctx);
+    true
+  | `Symbol -> false
+
 let rec walk ctx (s : Sexp.t) =
   match s with
   | Sexp.Atom ("#t" | "#f" | "nil") | Sexp.List [] -> ()
-  | Sexp.Atom a -> if int_of_string_opt a = None then use_var ctx a
+  | Sexp.Atom a -> if not (literal ctx a) then use_var ctx a
   | Sexp.List (Sexp.Atom "quote" :: rest) -> (
     match rest with
     | [ q ] -> (
+      let rec datum = function
+        | Sexp.Atom a -> ignore (literal ctx a)
+        | Sexp.List items -> List.iter datum items
+      in
+      datum q;
       match q with
       | Sexp.List (_ :: _) -> ctx.data_allocs <- ctx.data_allocs + 1
       | _ -> ())

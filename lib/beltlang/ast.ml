@@ -83,7 +83,43 @@ let define_global ctx name =
     Beltway_util.Vec.push ctx.global_names name;
     i
 
-let int_of_atom a = int_of_string_opt a
+(* Integer literals are immediates, so they must fit Value's 62-bit
+   payload. Literals use OCaml's integer syntax: optional sign, then
+   decimal digits or a 0x/0o/0b/0u prefix and digits of that base,
+   underscores after the first digit. int_of_string rejects such an
+   atom only when it overflows 63 bits, and wraps a prefixed one above
+   max_int to the opposite sign. *)
+let int_literal a =
+  let n = String.length a in
+  let neg = n > 0 && a.[0] = '-' in
+  let i = if neg || (n > 0 && a.[0] = '+') then 1 else 0 in
+  let dec = function '0' .. '9' -> true | _ -> false in
+  let digit, j =
+    if i + 1 < n && a.[i] = '0' then
+      match a.[i + 1] with
+      | 'x' | 'X' ->
+        ((function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false), i + 2)
+      | 'o' | 'O' -> ((function '0' .. '7' -> true | _ -> false), i + 2)
+      | 'b' | 'B' -> ((function '0' | '1' -> true | _ -> false), i + 2)
+      | 'u' | 'U' -> (dec, i + 2)
+      | _ -> (dec, i)
+    else (dec, i)
+  in
+  match int_of_string_opt a with
+  | Some v when j > i && v <> 0 && (v < 0) <> neg -> `Out_of_range
+  | Some v when v >= -(1 lsl 61) && v < 1 lsl 61 -> `Int v
+  | Some _ -> `Out_of_range
+  | None ->
+    if j < n && digit a.[j]
+       && String.for_all (fun c -> digit c || c = '_') (String.sub a j (n - j))
+    then `Out_of_range
+    else `Symbol
+
+let out_of_range a = err "integer literal out of range: %s" a
+
+let rec check_quoted = function
+  | Sexp.Atom a -> if int_literal a = `Out_of_range then out_of_range a
+  | Sexp.List items -> List.iter check_quoted items
 
 let rec compile_expr ctx (s : Sexp.t) : expr =
   match s with
@@ -91,9 +127,10 @@ let rec compile_expr ctx (s : Sexp.t) : expr =
   | Sexp.Atom "#f" -> Bool false
   | Sexp.Atom "nil" | Sexp.List [] -> Nil
   | Sexp.Atom a -> (
-    match int_of_atom a with
-    | Some n -> Int n
-    | None -> (
+    match int_literal a with
+    | `Int n -> Int n
+    | `Out_of_range -> out_of_range a
+    | `Symbol -> (
       match lookup ctx a with
       | Some (depth, idx) -> Var { depth; idx }
       | None -> (
@@ -101,7 +138,11 @@ let rec compile_expr ctx (s : Sexp.t) : expr =
         | Some g -> Global g
         | None -> err "unbound variable %s" a)))
   | Sexp.List (Sexp.Atom "quote" :: rest) -> (
-    match rest with [ q ] -> Quoted q | _ -> err "quote expects one form")
+    match rest with
+    | [ q ] ->
+      check_quoted q;
+      Quoted q
+    | _ -> err "quote expects one form")
   | Sexp.List (Sexp.Atom "if" :: rest) -> (
     match rest with
     | [ c; t ] -> If (compile_expr ctx c, compile_expr ctx t, Nil)

@@ -61,6 +61,13 @@ val compile : ?initial_globals:string list -> Sexp.t list -> program
     @raise Compile_error on unbound variables, bad special forms or
     arity errors for primitives. *)
 
+val int_literal : string -> [ `Int of int | `Out_of_range | `Symbol ]
+(** How the front end reads an atom: an integer literal in [Value]'s
+    62-bit immediate range [[-2^61, 2^61-1]], one outside it (in
+    OCaml's integer syntax, however many digits), or a name.
+    {!compile} rejects an out-of-range literal, quoted or not, with
+    [Compile_error "integer literal out of range: ..."]. *)
+
 val prim_name : prim -> string
 
 val prims : (string * (prim * int)) list

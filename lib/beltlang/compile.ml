@@ -616,9 +616,9 @@ and compile_quote ctx fctx (s : Sexp.t) =
     emit ctx (B.make B.op_push_nil);
     fctx.sp <- fctx.sp + 1
   | Sexp.Atom a -> (
-    match int_of_string_opt a with
-    | Some n -> emit_push_int ctx fctx n
-    | None ->
+    match Ast.int_literal a with
+    | `Int n -> emit_push_int ctx fctx n
+    | `Out_of_range | `Symbol ->
       let msg = Printf.sprintf "quote: symbols are not supported (%s)" a in
       emit ctx (B.make B.op_fail ~a:(string_id ctx msg));
       (* never returns at runtime; keep the static stack consistent *)

@@ -220,9 +220,9 @@ and quote ctx (s : Sexp.t) : Value.t =
   | Sexp.Atom "#f" -> vfalse
   | Sexp.Atom "nil" -> Value.null
   | Sexp.Atom a -> (
-    match int_of_string_opt a with
-    | Some n -> Value.of_int n
-    | None -> err "quote: symbols are not supported (%s)" a)
+    match Ast.int_literal a with
+    | `Int n -> Value.of_int n
+    | `Out_of_range | `Symbol -> err "quote: symbols are not supported (%s)" a)
   | Sexp.List items ->
     let rec build = function
       | [] -> Value.null

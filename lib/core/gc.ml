@@ -19,30 +19,34 @@ let env_gc_domains () =
     | Some n when n >= 1 -> Some n
     | _ -> None)
 
+(* Everything [create] rejects, as a result: the policy, the strategy,
+   then the strategy against the domain count ([gc_domains], else the
+   environment default, else 1) as given, before any clamping. *)
+let resolve ?gc_domains config =
+  let ( let* ) = Result.bind in
+  let* policy = Policy.resolve config in
+  let* strategy = Strategy.resolve config in
+  let gc_domains =
+    match gc_domains with
+    | Some n -> n
+    | None -> Option.value (env_gc_domains ()) ~default:1
+  in
+  let* () = Strategy.check_domains strategy ~gc_domains in
+  Ok (policy, strategy, gc_domains)
+
+let validate ?gc_domains config = Result.map ignore (resolve ?gc_domains config)
+
 let create ?(frame_log_words = 10) ?gc_domains ~config ~heap_bytes () =
   let frame_bytes = (1 lsl frame_log_words) * Addr.bytes_per_word in
   let heap_frames = max 4 ((heap_bytes + frame_bytes - 1) / frame_bytes) in
-  let policy =
-    match Policy.resolve config with
-    | Ok p -> p
-    | Error e -> invalid_arg ("Gc.create: " ^ e)
-  in
-  let strategy =
-    match Strategy.resolve config with
-    | Ok s -> s
+  let policy, strategy, gc_domains =
+    match resolve ?gc_domains config with
+    | Ok r -> r
     | Error e -> invalid_arg ("Gc.create: " ^ e)
   in
   let st = State.create ~strategy ~config ~policy ~heap_frames ~frame_log_words () in
   stamp_boot_frames st;
-  (match gc_domains with
-  | Some n -> State.set_gc_domains st n
-  | None -> (
-    match env_gc_domains () with
-    | Some n -> State.set_gc_domains st n
-    | None -> ()));
-  (match Strategy.check_domains strategy ~gc_domains:st.State.gc_domains with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Gc.create: " ^ e));
+  State.set_gc_domains st gc_domains;
   st
 
 let register_type st ~name =

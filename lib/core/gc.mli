@@ -43,6 +43,13 @@ val create :
     @raise Invalid_argument on an invalid configuration, an unknown
     policy or strategy, or a strategy/[gc_domains] mismatch. *)
 
+val validate : ?gc_domains:int -> Config.t -> (unit, string) result
+(** Exactly the checks {!create} makes, in its order, as a result:
+    the policy ([Policy.resolve]), the strategy ([Strategy.resolve]),
+    then the strategy against the domain count ([gc_domains], else
+    [BELTWAY_GC_DOMAINS], else 1). [Ok ()] means {!create} with the
+    same arguments raises no [Invalid_argument]. *)
+
 val register_type : t -> name:string -> Type_registry.id
 (** Register (or look up) a type; allocates its immortal type object in
     the boot space. *)

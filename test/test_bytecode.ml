@@ -254,6 +254,41 @@ let test_regressions () =
       checks (label ^ ": printed") expected a.out)
     regressions
 
+(* Integer literals at the edges of Value's 62-bit immediate range
+   print as written. One step beyond, beyond OCaml's own 63 bits, or
+   a hex literal int_of_string would wrap negative, and both engines
+   refuse the whole program at compile time with one message, whether
+   the literal is quoted or not. The linter flags the same literals.
+   Only this test treats [Compile_error] as an outcome: the shared run
+   helpers let it escape, so a program that stops compiling fails. *)
+let test_literal_range () =
+  List.iter
+    (fun lit ->
+      let src = Printf.sprintf "(print %s) (print (car '(%s)))" lit lit in
+      let a = run_interp "25.25.100" src in
+      check_equal ~label:lit a (run_vm "25.25.100" src);
+      checks (lit ^ ": printed") (lit ^ "\n" ^ lit ^ "\n") a.out)
+    [ "2305843009213693951"; "-2305843009213693952" ];
+  List.iter
+    (fun lit ->
+      List.iter
+        (fun form ->
+          let src = "(print 1) (print " ^ form ^ ")" in
+          let refused run =
+            match run "25.25.100" src with
+            | exception Ast.Compile_error m -> m
+            | o -> Option.value ~default:"<none>" o.error
+          in
+          let a = refused run_interp in
+          checks (src ^ ": vm == interp") a (refused run_vm);
+          checks (src ^ ": error") ("integer literal out of range: " ^ lit) a;
+          checki (src ^ ": lint errors") 1
+            (Analysis.errors (Analysis.analyze (Sexp.parse_string src))))
+        [ lit; "'" ^ lit; "'(1 " ^ lit ^ ")" ])
+    [ "2305843009213693952"; "-2305843009213693953"; "4611686018427387903";
+      "-4611686018427387904"; "4611686018427387904"; "99999999999999999999";
+      "0x7FFFFFFFFFFFFFFF" ]
+
 (* ---- compiled form ---- *)
 
 let test_compile_shapes () =
@@ -338,6 +373,7 @@ let suite =
     ("programs x config grid: vm == interp", `Slow, test_programs_differential);
     ("programs under sanitizer: vm == interp", `Slow, test_programs_sanitized);
     ("fixed regressions: vm == interp", `Quick, test_regressions);
+    ("integer literal range: vm == interp", `Quick, test_literal_range);
     ("compiled streams walk exactly", `Quick, test_compile_shapes);
     ("disassembly smoke", `Quick, test_dump_is_stable);
     ("disassembly of every bundled program", `Quick, test_dump_every_program);

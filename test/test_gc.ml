@@ -577,3 +577,34 @@ let suite =
       ("zero-field objects", `Quick, test_zero_field_objects);
       ("self-referential object", `Quick, test_self_referential_object);
     ]
+
+(* ---- Gc.validate is Gc.create's own check ---- *)
+
+(* Ok exactly when Gc.create succeeds on the same arguments, and the
+   message Gc.create raises when it does not: the CLIs validate with
+   it before making a heap. *)
+let test_validate_matches_create () =
+  List.iter
+    (fun (cs, gc_domains) ->
+      let config = Result.get_ok (Config.parse cs) in
+      let created =
+        match Gc.create ~frame_log_words:8 ?gc_domains ~config ~heap_bytes:(64 * 1024) () with
+        | _ -> "ok"
+        | exception Invalid_argument e -> e
+      in
+      let validated =
+        match Gc.validate ?gc_domains config with
+        | Ok () -> "ok"
+        | Error e -> "Gc.create: " ^ e
+      in
+      Alcotest.(check string) cs created validated)
+    [
+      ("25.25.100", None); ("25.25.100", Some 4); ("appel", Some 0);
+      ("25.25.100+strategy:marksweep", Some 1);
+      ("25.25.100+strategy:marksweep", Some 2);
+      ("25.25+strategy:markcompact", Some 100);
+      ("25.25+policy:sweep", None); ("25.25+policy:nonesuch", Some 2);
+      ("25.25+strategy:nonesuch", None);
+    ]
+
+let suite = suite @ [ ("validate matches create", `Quick, test_validate_matches_create) ]
