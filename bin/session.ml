@@ -37,14 +37,11 @@ let print_registry entries =
   exit 0
 
 (* The configuration the options select, or exit 2 with the first
-   error: a domain count below 1, then (after [list], the caller's own
-   listing option, and --strategy list, which both exit 0) the
-   configuration string with its +policy:/+strategy: suffixes spliced
-   on, then everything Gc.create would reject. *)
+   error: after [list], the caller's own listing option, and --strategy
+   list, which both exit 0, the configuration string with its
+   +policy:/+strategy: suffixes spliced on, then everything Gc.create
+   would reject (the domain count among it). *)
 let config ?(list = ignore) ?policy o =
-  (match o.gc_domains with
-  | Some n when n < 1 -> fail "--gc-domains must be >= 1 (got %d)" n
-  | _ -> ());
   list ();
   if o.strategy = Some "list" then
     print_registry

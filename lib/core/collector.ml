@@ -500,16 +500,14 @@ let parallel_drain st plan c =
   let use_cards = st.State.policy.State.barrier = State.Barrier_cards in
 
   (* Worker domains read the flat backing, the liveness bitmap, the
-     frame table and the id->increment mirror without synchronisation;
-     none of those arrays may be swapped for a grown copy mid-drain.
-     Pre-grow each to cover every frame the drain could possibly
-     allocate (the whole remaining budget). The forwarding CAS's
-     stripes are likewise set up here, before any worker can race on
-     them. *)
+     frame table and the id->increment mirror without synchronisation.
+     The first three are fixed for the heap's lifetime; the mirror is
+     pre-grown here to cover every increment the drain could open, so
+     no array is swapped for a grown copy mid-drain. The forwarding
+     CAS's stripes are likewise set up here, before any worker can race
+     on them. *)
   let headroom = max 0 (st.State.heap_frames - st.State.frames_used) in
-  Memory.reserve_fresh mem ~frames:headroom;
   Memory.ensure_cas_locks mem;
-  Frame_table.ensure ftab (Memory.fresh_frames mem + headroom);
   let max_new_incs =
     (* Upper bound on increments opened during the drain: every belt
        of every domain can roll over at most once per granted frame. *)

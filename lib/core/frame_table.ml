@@ -8,7 +8,7 @@
    membership, pinnedness and the owning increment id resolve from a
    single array load. *)
 
-type t = { mutable stamps : int array; mutable meta : int array }
+type t = { stamps : int array; meta : int array }
 
 let immortal_stamp = max_int
 let priority_unit = 1 lsl 40
@@ -29,42 +29,29 @@ let[@inline] meta_incr m = (m lsr 2) - 1
 let[@inline] meta_pinned m = m land pinned_bit <> 0
 let[@inline] meta_in_plan m = m land in_plan_bit <> 0
 
-let create () = { stamps = Array.make 64 no_stamp; meta = Array.make 64 no_meta }
-
-let ensure t frame =
-  let cap = Array.length t.stamps in
-  if frame >= cap then begin
-    let n = max (frame + 1) (cap * 2) in
-    let stamps = Array.make n no_stamp in
-    Array.blit t.stamps 0 stamps 0 cap;
-    t.stamps <- stamps;
-    let meta = Array.make n no_meta in
-    Array.blit t.meta 0 meta 0 cap;
-    t.meta <- meta
-  end
+let create ~max_frames =
+  {
+    stamps = Array.make (max_frames + 1) no_stamp;
+    meta = Array.make (max_frames + 1) no_meta;
+  }
 
 let set t ~frame ~stamp ~incr ~pinned =
-  ensure t frame;
   t.stamps.(frame) <- stamp;
   t.meta.(frame) <- pack ~incr ~pinned ~in_plan:false
 
 let clear t ~frame =
-  ensure t frame;
   t.stamps.(frame) <- no_stamp;
   t.meta.(frame) <- no_meta
 
-let restamp t ~frame ~stamp =
-  ensure t frame;
-  t.stamps.(frame) <- stamp
+let restamp t ~frame ~stamp = t.stamps.(frame) <- stamp
 
 let set_in_plan t ~frame v =
-  ensure t frame;
   let m = t.meta.(frame) in
   t.meta.(frame) <- (if v then m lor in_plan_bit else m land lnot in_plan_bit)
 
-(* Reads tolerate frames beyond the grown extent (they answer as
-   unowned), so address-derived indices need no prior [ensure]. The
-   bounds test also licenses the unsafe load. *)
+(* Reads tolerate frames beyond [max_frames] (they answer as unowned),
+   so any address-derived index is safe to look up. The bounds test
+   also licenses the unsafe load. *)
 let[@inline] stamp t frame =
   if frame < Array.length t.stamps then Array.unsafe_get t.stamps frame
   else no_stamp

@@ -28,16 +28,11 @@ val no_stamp : int
 (** Stamp reported for unowned frames ([-1]); never satisfies the
     remember predicate as a target. *)
 
-val create : unit -> t
-
-val ensure : t -> int -> unit
-(** Grow the side tables now so every frame index up to and including
-    the argument is in range. Reads already tolerate out-of-range
-    frames; the point of calling this eagerly is the parallel
-    collector, whose worker domains read the arrays unsynchronised —
-    growth must not swap the backing arrays under them, so the
-    collector covers the whole possible index range before fanning
-    out. *)
+val create : max_frames:int -> t
+(** Side tables covering frames [0 .. max_frames], the whole range of
+    the heap's [Memory]; they never grow, so worker domains may read
+    them unsynchronised. Writes to a frame past [max_frames] raise
+    [Invalid_argument]; reads answer as unowned. *)
 
 val set : t -> frame:int -> stamp:int -> incr:int -> pinned:bool -> unit
 (** Install metadata when a frame is handed to an increment (or to the

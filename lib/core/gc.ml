@@ -19,17 +19,28 @@ let env_gc_domains () =
     | Some n when n >= 1 -> Some n
     | _ -> None)
 
+(* A domain count within [1, Team.max_size], or an error naming where
+   it came from. *)
+let check_domain_count ~source n =
+  if n < 1 then Error (Printf.sprintf "%s must be >= 1 (got %d)" source n)
+  else if n > Beltway_util.Team.max_size then
+    Error
+      (Printf.sprintf "%s %d exceeds the limit of %d domains" source n
+         Beltway_util.Team.max_size)
+  else Ok n
+
 (* Everything [create] rejects, as a result: the policy, the strategy,
-   then the strategy against the domain count ([gc_domains], else the
-   environment default, else 1) as given, before any clamping. *)
+   the domain count ([gc_domains], else the environment default, else
+   1), then the strategy against that count. *)
 let resolve ?gc_domains config =
   let ( let* ) = Result.bind in
   let* policy = Policy.resolve config in
   let* strategy = Strategy.resolve config in
-  let gc_domains =
-    match gc_domains with
-    | Some n -> n
-    | None -> Option.value (env_gc_domains ()) ~default:1
+  let* gc_domains =
+    match gc_domains, env_gc_domains () with
+    | Some n, _ -> check_domain_count ~source:"--gc-domains" n
+    | None, Some n -> check_domain_count ~source:"BELTWAY_GC_DOMAINS" n
+    | None, None -> Ok 1
   in
   let* () = Strategy.check_domains strategy ~gc_domains in
   Ok (policy, strategy, gc_domains)
@@ -46,11 +57,20 @@ let create ?(frame_log_words = 10) ?gc_domains ~config ~heap_bytes () =
   in
   let st = State.create ~strategy ~config ~policy ~heap_frames ~frame_log_words () in
   stamp_boot_frames st;
-  State.set_gc_domains st gc_domains;
+  st.State.gc_domains <- gc_domains;
   st
 
 let register_type st ~name =
-  let id = Type_registry.register st.State.types ~name in
+  let id =
+    try Type_registry.register st.State.types ~name
+    with Memory.Out_of_frames ->
+      raise
+        (Out_of_memory
+           (Printf.sprintf
+              "type %S: the boot space needs a frame beyond its %d-frame allowance \
+               (frames [1, %d])"
+              name Boot_space.max_frames (Memory.max_frames st.State.mem)))
+  in
   (* Type registration may have mapped new boot frames; keep their
      stamps immortal. *)
   stamp_boot_frames st;
@@ -176,12 +196,13 @@ let bytes_allocated st = words_allocated st * Addr.bytes_per_word
 let live_words_upper_bound st = State.live_words st
 let reserve_frames st = Copy_reserve.frames st
 let set_gc_domains st n =
-  State.set_gc_domains st n;
-  match Strategy.check_domains st.State.strategy ~gc_domains:st.State.gc_domains with
-  | Ok () -> ()
-  | Error e ->
-    State.set_gc_domains st 1;
-    invalid_arg ("Gc.set_gc_domains: " ^ e)
+  let ( let* ) = Result.bind in
+  match
+    let* n = check_domain_count ~source:"gc_domains" n in
+    Strategy.check_domains st.State.strategy ~gc_domains:n
+  with
+  | Ok () -> st.State.gc_domains <- n
+  | Error e -> invalid_arg ("Gc.set_gc_domains: " ^ e)
 let gc_domains st = st.State.gc_domains
 let state st = st
 let register_site st ~name = State.register_site st ~name

@@ -38,21 +38,26 @@ val create :
     [+strategy:NAME] selects otherwise). [gc_domains] sets how many
     domains each collection is sharded over (default: the
     [BELTWAY_GC_DOMAINS] environment variable, else 1 = sequential);
-    a non-parallel strategy combined with [gc_domains > 1] is
+    a count outside [1, Beltway_util.Team.max_size], or a
+    non-parallel strategy combined with [gc_domains > 1], is
     rejected.
     @raise Invalid_argument on an invalid configuration, an unknown
-    policy or strategy, or a strategy/[gc_domains] mismatch. *)
+    policy or strategy, a domain count out of range, or a
+    strategy/[gc_domains] mismatch. *)
 
 val validate : ?gc_domains:int -> Config.t -> (unit, string) result
 (** Exactly the checks {!create} makes, in its order, as a result:
     the policy ([Policy.resolve]), the strategy ([Strategy.resolve]),
-    then the strategy against the domain count ([gc_domains], else
-    [BELTWAY_GC_DOMAINS], else 1). [Ok ()] means {!create} with the
-    same arguments raises no [Invalid_argument]. *)
+    the domain count ([gc_domains], else [BELTWAY_GC_DOMAINS], else 1)
+    against [1, Beltway_util.Team.max_size], then the strategy against
+    that count. [Ok ()] means {!create} with the same arguments raises
+    no [Invalid_argument]. *)
 
 val register_type : t -> name:string -> Type_registry.id
 (** Register (or look up) a type; allocates its immortal type object in
-    the boot space. *)
+    the boot space.
+    @raise Out_of_memory when the boot space would outgrow its
+    [Boot_space.max_frames] frames. *)
 
 val tib_value : t -> Type_registry.id -> Value.t
 (** The type's TIB reference (immortal, never moves) — cacheable by a
@@ -126,12 +131,12 @@ val reserve_frames : t -> int
 (** The copy reserve currently in force (paper S3.3.4). *)
 
 val set_gc_domains : t -> int -> unit
-(** Change the collection fan-out for subsequent collections (clamped
-    to [1, Beltway_util.Team.max_size]). One domain is the sequential
-    collector, byte-identical to the pre-parallel behaviour.
-    @raise Invalid_argument when the installed strategy does not
-    support a parallel drain and the clamped fan-out exceeds 1 (the
-    fan-out is reset to 1 first, so the heap stays usable). *)
+(** Change the collection fan-out for subsequent collections. One
+    domain is the sequential collector, byte-identical to the
+    pre-parallel behaviour.
+    @raise Invalid_argument outside [1, Beltway_util.Team.max_size],
+    or when the installed strategy does not support a parallel drain
+    and the fan-out exceeds 1; the fan-out is then left unchanged. *)
 
 val gc_domains : t -> int
 (** The fan-out currently in force. *)

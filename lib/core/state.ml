@@ -187,15 +187,21 @@ let create ?(strategy = copying_strategy) ~config ~policy ~heap_frames
     | Error e -> invalid_arg ("State.create: invalid configuration: " ^ e)
   in
   if heap_frames < 4 then invalid_arg "State.create: heap_frames must be >= 4";
-  (* Headroom above the budget: boot space plus slack so that budget
-     exhaustion surfaces as Out_of_memory (policy), never as the
-     memory substrate running dry (mechanism). *)
-  let mem =
-    Memory.create ~frame_log_words ~max_frames:((heap_frames * 2) + 64)
-  in
+  (* The address range is the budget plus the boot allowance, and no
+     heap without a LOS ever needs an index past it. Every index below
+     the memory's fresh mark is live or on its free list, so a fresh
+     frame is minted only when the free list is empty, and is then
+     [live + 1] (a fresh index past [live + 1] implies a non-empty free
+     list). [grant_frame] maps a frame only while [frames_used <
+     heap_frames], and the boot space only below its allowance, so
+     [live + 1 <= heap_frames + Boot_space.max_frames]. A LOS run that
+     finds no contiguous space in the range is an Out_of_memory
+     ([new_pinned_increment]). *)
+  let max_frames = heap_frames + Boot_space.max_frames in
+  let mem = Memory.create ~frame_log_words ~max_frames in
   let boot = Boot_space.create mem in
   let types = Type_registry.create mem boot in
-  let ftab = Frame_table.create () in
+  let ftab = Frame_table.create ~max_frames in
   let regular = Array.length config.Config.belts in
   (* The large object space, when enabled, is one extra belt above all
      configured belts: its pinned increments carry the highest stamps,
@@ -256,9 +262,6 @@ let create ?(strategy = copying_strategy) ~config ~policy ~heap_frames
     site_names;
     site_ids;
   }
-
-let set_gc_domains t n =
-  t.gc_domains <- max 1 (min n Beltway_util.Team.max_size)
 
 let make_par_domain t =
   {
@@ -451,7 +454,16 @@ let new_pinned_increment t ~size =
       (Out_of_memory
          (Printf.sprintf "large object of %d words does not fit (%d frames needed, %d free)"
             size k (t.heap_frames - t.frames_used)));
-  let frames = Memory.alloc_frames_contiguous t.mem k in
+  let frames =
+    try Memory.alloc_frames_contiguous t.mem k
+    with Memory.Out_of_frames ->
+      raise
+        (Out_of_memory
+           (Printf.sprintf
+              "large object of %d words: no run of %d contiguous free frames in \
+               frames [1, %d]"
+              size k (Memory.max_frames t.mem)))
+  in
   t.frames_used <- t.frames_used + k;
   t.stats.Gc_stats.frames_allocated <- t.stats.Gc_stats.frames_allocated + k;
   if t.frames_used > t.stats.Gc_stats.peak_frames then

@@ -206,7 +206,7 @@ type t = {
           it is *)
   mutable gc_domains : int;
       (** domains each collection's drain fans out over (set through
-          {!set_gc_domains}); 1 selects the sequential collector,
+          [Gc.set_gc_domains]); 1 selects the sequential collector,
           byte-identical to the pre-parallel implementation *)
   gc_lock : Mutex.t;
       (** serialises shared-structure mutation (increment creation,
@@ -281,14 +281,10 @@ val create :
     from the configuration with [Policy.resolve]; [Gc.create] does)
     and reclamation strategy (default {!copying_strategy}; resolve one
     with [Strategy.resolve]). [heap_frames] is the collector's budget;
-    the underlying memory is sized with headroom for the boot space.
+    the underlying memory holds frames [1 .. heap_frames +
+    Boot_space.max_frames], fixed for the heap's lifetime.
     @raise Invalid_argument on a configuration that fails
     [Config.validate]. *)
-
-val set_gc_domains : t -> int -> unit
-(** Set the number of domains future collections fan out over (clamped
-    to [1, Beltway_util.Team.max_size]). Takes effect at the next
-    collection. *)
 
 val par_domains : t -> int -> par_domain array
 (** The first [n] per-domain scratch contexts, created on first use

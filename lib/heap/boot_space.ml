@@ -1,3 +1,5 @@
+let max_frames = 8
+
 type t = {
   mem : Memory.t;
   frames : int Beltway_util.Vec.t;
@@ -18,6 +20,7 @@ let create mem =
   }
 
 let extend t =
+  if Beltway_util.Vec.length t.frames >= max_frames then raise Memory.Out_of_frames;
   let f = Memory.alloc_frame t.mem in
   Beltway_util.Vec.push t.frames f;
   Hashtbl.replace t.frame_set f ();

@@ -13,11 +13,17 @@
 
 type t
 
+val max_frames : int
+(** Frames a boot space may hold (8): its allowance in every heap's
+    fixed address range. Every workload measured uses one. *)
+
 val create : Memory.t -> t
 
 val alloc : t -> tib:Value.t -> nfields:int -> Addr.t
 (** Bump-allocate an immortal object; extends the space by a frame when
-    full. Fields start null. *)
+    full. Fields start null.
+    @raise Memory.Out_of_frames when the space would need more than
+    {!max_frames} frames. *)
 
 val frames : t -> int list
 (** Frames owned by the boot space (for stamp assignment). *)

@@ -6,9 +6,10 @@ type t = {
   frame_log : int;
   frame_words : int;
   max_frames : int;
-  mutable flat : flat; (* one flat backing; frame f occupies [f lsl frame_log, (f+1) lsl frame_log) *)
-  mutable cap_frames : int; (* frames the backing can hold *)
-  mutable liveness : Bytes.t; (* bit per frame; 0 = unmapped/dead *)
+  flat : flat;
+      (* one flat backing for frames 0..max_frames; frame f occupies
+         [f lsl frame_log, (f+1) lsl frame_log) *)
+  liveness : Bytes.t; (* bit per frame; 0 = unmapped/dead *)
   free_list : int Beltway_util.Vec.t; (* recycled frame indices *)
   mutable next_fresh : int; (* next never-used frame index *)
   mutable live : int;
@@ -18,8 +19,8 @@ type t = {
          heap never pays for them. *)
   mutable marks : Bytes.t;
       (* side mark bitmap: one bit per word, indexed by address. Empty
-         until a marking strategy calls [ensure_marks]; grown alongside
-         the backing so addresses stay valid indices. *)
+         until a marking strategy calls [ensure_marks], then covering
+         the whole backing so every address is a valid index. *)
 }
 
 (* Word-access checking (null / dead-frame detection) is on by default:
@@ -44,14 +45,14 @@ let cas_stride = 8
 let create ~frame_log_words ~max_frames =
   if frame_log_words < 4 then invalid_arg "Memory.create: frame_log_words < 4";
   if max_frames < 1 then invalid_arg "Memory.create: max_frames < 1";
-  let cap_frames = max 2 (min (max_frames + 2) 64) in
   {
     frame_log = frame_log_words;
     frame_words = 1 lsl frame_log_words;
     max_frames;
-    flat = alloc_flat (cap_frames lsl frame_log_words);
-    cap_frames;
-    liveness = Bytes.make ((cap_frames + 7) / 8) '\000';
+    (* Frames are zeroed when mapped, so the backing needs no
+       initialisation: pages never handed out are never touched. *)
+    flat = alloc_flat ((max_frames + 1) lsl frame_log_words);
+    liveness = Bytes.make ((max_frames + 8) / 8) '\000';
     free_list = Beltway_util.Vec.create ~dummy:0 ();
     next_fresh = 1 (* frame 0 reserved: address 0 is null *);
     live = 0;
@@ -77,26 +78,18 @@ let set_live_bit t f v =
   Bytes.set t.liveness (f lsr 3)
     (Char.chr (if v then byte lor mask else byte land lnot mask))
 
-let is_live t idx = idx >= 1 && idx < t.cap_frames && live_bit t idx
+let is_live t idx = idx >= 1 && idx <= t.max_frames && live_bit t idx
 
-(* Grow the flat backing so frame indices < [needed] are addressable.
-   Geometric growth; old contents are preserved by a block move. *)
-let grow_backing t needed =
-  if needed > t.cap_frames then begin
-    let cap = max needed (t.cap_frames * 2) in
-    let flat = alloc_flat (cap lsl t.frame_log) in
-    A1.blit t.flat (A1.sub flat 0 (A1.dim t.flat));
-    t.flat <- flat;
-    let liveness = Bytes.make ((cap + 7) / 8) '\000' in
-    Bytes.blit t.liveness 0 liveness 0 (Bytes.length t.liveness);
-    t.liveness <- liveness;
-    if Bytes.length t.marks > 0 then begin
-      let marks = Bytes.make (((cap lsl t.frame_log) + 7) / 8) '\000' in
-      Bytes.blit t.marks 0 marks 0 (Bytes.length t.marks);
-      t.marks <- marks
-    end;
-    t.cap_frames <- cap
-  end
+(* Mint [n] never-used indices. Every index below [next_fresh] is live
+   or on the free list, so [alloc_frame], which mints only when the
+   free list is empty, gets [live + 1] and stays in range; only a
+   contiguous run past a fragmented free list can reach beyond
+   [max_frames]. *)
+let take_fresh t n =
+  let first = t.next_fresh in
+  if first + n - 1 > t.max_frames then raise Out_of_frames;
+  t.next_fresh <- first + n;
+  first
 
 let zero_frame t idx =
   A1.fill (A1.sub t.flat (idx lsl t.frame_log) t.frame_words) 0
@@ -111,12 +104,7 @@ let alloc_frame t =
   let idx =
     if not (Beltway_util.Vec.is_empty t.free_list) then
       Beltway_util.Vec.pop t.free_list
-    else begin
-      let idx = t.next_fresh in
-      t.next_fresh <- idx + 1;
-      grow_backing t (idx + 1);
-      idx
-    end
+    else take_fresh t 1
   in
   map_frame t idx;
   idx
@@ -128,7 +116,7 @@ let take_free_run t n =
   if len < n then None
   else begin
     let sorted = Beltway_util.Vec.to_array t.free_list in
-    Array.sort compare sorted;
+    Array.sort Int.compare sorted;
     let first = ref (-1) in
     let run_start = ref 0 in
     (try
@@ -166,11 +154,7 @@ let alloc_frames_contiguous t n =
   let first =
     match take_free_run t n with
     | Some first -> first
-    | None ->
-      let first = t.next_fresh in
-      t.next_fresh <- first + n;
-      grow_backing t (first + n);
-      first
+    | None -> take_fresh t n
   in
   List.init n (fun i ->
       let idx = first + i in
@@ -195,7 +179,7 @@ let dead_fail t a name =
 let[@inline] check_addr t a name =
   if a = Addr.null then null_fail name;
   let f = a lsr t.frame_log in
-  if f >= t.cap_frames || not (live_bit t f) then dead_fail t a name
+  if f > t.max_frames || not (live_bit t f) then dead_fail t a name
 
 let[@inline] unsafe_get t a = A1.unsafe_get t.flat a
 let[@inline] unsafe_set t a v = A1.unsafe_set t.flat a v
@@ -247,15 +231,6 @@ let fill t ~dst ~len v =
     else A1.fill (A1.sub t.flat dst len) v
   end
 
-(* Pre-grow the backing (and liveness bitmap) so that the next [n]
-   fresh-frame allocations cannot replace [t.flat] or [t.liveness].
-   The parallel collector calls this before fanning out: worker domains
-   read the backing without synchronisation, which is only sound while
-   the arrays are never swapped under them. *)
-let reserve_fresh t ~frames =
-  if frames < 0 then invalid_arg "Memory.reserve_fresh: negative frame count";
-  grow_backing t (t.next_fresh + frames)
-
 let ensure_cas_locks t =
   if Array.length t.cas_locks = 0 then
     t.cas_locks <- Array.init (cas_stripes * cas_stride) (fun _ -> Atomic.make false)
@@ -292,12 +267,8 @@ let addr_offset t a = a land (t.frame_words - 1)
    never pay for it. *)
 
 let ensure_marks t =
-  let need = ((t.cap_frames lsl t.frame_log) + 7) / 8 in
-  if Bytes.length t.marks < need then begin
-    let marks = Bytes.make need '\000' in
-    Bytes.blit t.marks 0 marks 0 (Bytes.length t.marks);
-    t.marks <- marks
-  end
+  if Bytes.length t.marks = 0 then
+    t.marks <- Bytes.make (((t.max_frames + 1) lsl t.frame_log) lsr 3) '\000'
 
 let[@inline] marked t a =
   Char.code (Bytes.unsafe_get t.marks (a lsr 3)) land (1 lsl (a land 7)) <> 0

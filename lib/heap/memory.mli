@@ -10,7 +10,9 @@
     itself the backing index: a load is a single unchecked read plus a
     liveness-bitmap test. Freed frame *indices* are recycled through a
     free list, mimicking a virtual memory manager that maps and unmaps
-    page runs; the backing grows geometrically and is never returned.
+    page runs. The backing is allocated once, in {!create}, for
+    indices [0 .. max_frames], and never grows or moves, so other
+    domains may read it without synchronisation.
 
     The *heap budget* (how many frames a collector configuration may
     hold at once) is enforced by the GC layer, not here: this module is
@@ -20,8 +22,9 @@ type t
 
 val create : frame_log_words:int -> max_frames:int -> t
 (** [create ~frame_log_words ~max_frames]: frames hold
-    [2^frame_log_words] words each; at most [max_frames] (excluding the
-    reserved frame 0) may be live at once.
+    [2^frame_log_words] words each, and every frame index lies in
+    [1 .. max_frames] (frame 0 is reserved), so at most [max_frames]
+    may be live at once.
     @raise Invalid_argument if [frame_log_words < 4] or
     [max_frames < 1]. *)
 
@@ -39,10 +42,10 @@ val fresh_frames : t -> int
     a request, so it measures virtual-space consumption. *)
 
 exception Out_of_frames
-(** Raised by {!alloc_frame} when [max_frames] are already live. The GC
-    layer treats its own budget exhaustion before this can trigger;
-    seeing it escape indicates a collector bug (copy-reserve
-    violation). *)
+(** Raised when a request cannot be placed in [1 .. max_frames]:
+    {!alloc_frame} when [max_frames] are already live,
+    {!alloc_frames_contiguous} also when no run of that length exists.
+    The GC layer turns it into its own out-of-memory error. *)
 
 val alloc_frame : t -> int
 (** Allocate a frame; its words are zeroed. Returns the frame index
@@ -53,9 +56,11 @@ val alloc_frames_contiguous : t -> int -> int list
     addresses — for objects larger than one frame (large object
     space). Consults the free list first, exactly like {!alloc_frame}:
     a run of [n] consecutive recycled indices is reused when one
-    exists, and only otherwise is fresh virtual space consumed.
+    exists (the lowest-addressed), and only otherwise is fresh virtual
+    space consumed.
     @raise Out_of_frames if fewer than [n] frames remain in the
-    budget. @raise Invalid_argument if [n < 1]. *)
+    budget, or no run of [n] fits the range. @raise Invalid_argument if
+    [n < 1]. *)
 
 val free_frame : t -> int -> unit
 (** Return a frame to the free list. @raise Invalid_argument if the
@@ -101,18 +106,11 @@ val fill : t -> dst:Addr.t -> len:int -> int -> unit
 (** Block store of [len] copies of a word. Same constraints as
     {!blit}. *)
 
-val reserve_fresh : t -> frames:int -> unit
-(** Grow the backing store now so that the next [frames] fresh-frame
-    allocations are guaranteed not to reallocate it. The parallel
-    collector calls this before fanning out, because worker domains
-    read the backing unsynchronised and the arrays must not be swapped
-    under them. @raise Invalid_argument on a negative count. *)
-
 val ensure_cas_locks : t -> unit
 (** Allocate the spinlock stripes {!cas_word} needs, once per heap.
-    The parallel collector calls this before fanning out, next to
-    {!reserve_fresh}; sequential heaps never allocate them. Not safe
-    to call while other domains may be in {!cas_word}. *)
+    The parallel collector calls this before fanning out; sequential
+    heaps never allocate them. Not safe to call while other domains
+    may be in {!cas_word}. *)
 
 val cas_word : t -> Addr.t -> expect:int -> desired:int -> int
 (** Atomic compare-and-set of the word at an address, emulated with
@@ -142,9 +140,9 @@ val addr_offset : t -> Addr.t -> int
     allocates it. *)
 
 val ensure_marks : t -> unit
-(** Materialise (or grow) the mark bitmap to cover every currently
-    addressable frame. Must be called before {!marked} / {!set_mark};
-    the bitmap then tracks backing growth automatically. *)
+(** Materialise the mark bitmap, once, over the whole fixed backing
+    (every frame in [0 .. max_frames]); later calls do nothing. Must
+    be called before {!marked} / {!set_mark}. *)
 
 val marked : t -> Addr.t -> bool
 (** Whether the word at an address carries a mark. Undefined before

@@ -23,4 +23,5 @@ let () =
       ("profiler", Test_profiler.suite);
       ("parallel gc", Test_parallel_gc.suite);
       ("aliases", Test_aliases.suite);
+      ("frame bound", Test_frame_bound.suite);
     ]

@@ -70,7 +70,7 @@ let agreement_prop =
     ~name:"frame table agrees with legacy Frame_info under random ops" ~count:200
     (QCheck.make QCheck.Gen.(list_size (int_range 0 120) op_gen))
     (fun ops ->
-      let ft = Frame_table.create () in
+      let ft = Frame_table.create ~max_frames:300 in
       let fi = Frame_info.create () in
       let set_frames = Hashtbl.create 16 in
       List.iter (apply_both ft fi set_frames) ops;
@@ -91,7 +91,7 @@ let agreement_prop =
       && Frame_table.incr_of ft 100_000 = -1)
 
 let test_in_plan_bit_is_orthogonal () =
-  let ft = Frame_table.create () in
+  let ft = Frame_table.create ~max_frames:8 in
   Frame_table.set ft ~frame:7 ~stamp:42 ~incr:3 ~pinned:true;
   Frame_table.set_in_plan ft ~frame:7 true;
   checki "stamp unaffected by plan bit" 42 (Frame_table.stamp ft 7);

@@ -604,7 +604,56 @@ let test_validate_matches_create () =
       ("25.25.100+strategy:marksweep", Some 2);
       ("25.25+strategy:markcompact", Some 100);
       ("25.25+policy:sweep", None); ("25.25+policy:nonesuch", Some 2);
-      ("25.25+strategy:nonesuch", None);
+      ("25.25+strategy:nonesuch", None); ("appel", Some 65);
     ]
 
-let suite = suite @ [ ("validate matches create", `Quick, test_validate_matches_create) ]
+(* A domain count past Team.max_size is refused, not clamped: by
+   validate (above) and by set_gc_domains, which leaves the heap's
+   count as it was. No heap runs at such a count. *)
+let test_domain_limit () =
+  let gc = gc_of "appel" in
+  Alcotest.check_raises "65 domains"
+    (Invalid_argument "Gc.set_gc_domains: gc_domains 65 exceeds the limit of 64 domains")
+    (fun () -> Gc.set_gc_domains gc 65);
+  checki "count unchanged" 1 (Gc.gc_domains gc);
+  Alcotest.(check (result unit string))
+    "validate names the count and the limit"
+    (Error "--gc-domains 65 exceeds the limit of 64 domains")
+    (Gc.validate ~gc_domains:65 (Gc.config gc))
+
+(* The boot space is bounded by Boot_space.max_frames frames: one type
+   too many is an Out_of_memory naming the type and the range, and the
+   heap stays sound and usable. *)
+let test_boot_allowance () =
+  let gc = gc_of "25.25.100" in
+  let st = Gc.state gc in
+  let range = Memory.max_frames st.Beltway.State.mem in
+  let rec fill i =
+    match Gc.register_type gc ~name:(Printf.sprintf "t%d" i) with
+    | _ -> fill (i + 1)
+    | exception Gc.Out_of_memory m -> (i, m)
+  in
+  let i, msg = fill 0 in
+  Alcotest.(check string) "message"
+    (Printf.sprintf
+       "type \"t%d\": the boot space needs a frame beyond its %d-frame allowance \
+        (frames [1, %d])"
+       i Boot_space.max_frames range)
+    msg;
+  checki "boot space at its allowance" Boot_space.max_frames
+    (Boot_space.mem_frames st.Beltway.State.boot);
+  let ty = Gc.register_type gc ~name:"t0" in
+  let roots = Gc.roots gc in
+  ignore (Roots.new_global roots (Value.of_addr (Gc.alloc gc ~ty ~nfields:4)));
+  Gc.full_collect gc;
+  match Beltway.Verify.check gc with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "integrity: %s" e
+
+let suite =
+  suite
+  @ [
+      ("validate matches create", `Quick, test_validate_matches_create);
+      ("domain limit", `Quick, test_domain_limit);
+      ("boot allowance", `Quick, test_boot_allowance);
+    ]

@@ -133,6 +133,42 @@ let test_memory_contiguous_fresh_fallback () =
   let l = Memory.alloc_frames_contiguous m 3 in
   Alcotest.(check (list int)) "falls back to fresh frames" [ 6; 7; 8 ] l
 
+(* The free list is searched in address order, whatever order frames
+   were freed in: the lowest-addressed run wins, and a run that starts
+   only after a gap is still found. *)
+let test_memory_contiguous_lowest_run () =
+  let m = Memory.create ~frame_log_words:8 ~max_frames:16 in
+  ignore (List.init 12 (fun _ -> Memory.alloc_frame m));
+  List.iter (Memory.free_frame m) [ 9; 10; 11; 3; 4; 5 ];
+  Alcotest.(check (list int)) "lowest run, not the first freed" [ 3; 4; 5 ]
+    (Memory.alloc_frames_contiguous m 3);
+  Alcotest.(check (list int)) "the other run next" [ 9; 10; 11 ]
+    (Memory.alloc_frames_contiguous m 3)
+
+let test_memory_contiguous_after_gap () =
+  let m = Memory.create ~frame_log_words:8 ~max_frames:8 in
+  ignore (List.init 8 (fun _ -> Memory.alloc_frame m));
+  List.iter (Memory.free_frame m) [ 6; 2; 7; 5 ];
+  Alcotest.(check (list int)) "the run past the gap at 3-4" [ 5; 6; 7 ]
+    (Memory.alloc_frames_contiguous m 3);
+  checki "no fresh frames minted" 9 (Memory.fresh_frames m)
+
+(* The backing is fixed at [max_frames]: a run that fits the budget but
+   not the fragmented range is refused, and the refusal changes
+   nothing. *)
+let test_memory_contiguous_range_bound () =
+  let m = Memory.create ~frame_log_words:8 ~max_frames:8 in
+  ignore (List.init 8 (fun _ -> Memory.alloc_frame m));
+  List.iter (Memory.free_frame m) [ 1; 3; 5; 7 ];
+  Alcotest.check_raises "no run of 2 inside the range" Memory.Out_of_frames
+    (fun () -> ignore (Memory.alloc_frames_contiguous m 2));
+  checki "live unchanged" 4 (Memory.live_frames m);
+  checki "fresh mark unchanged" 9 (Memory.fresh_frames m);
+  Alcotest.(check (list int)) "free list intact" [ 1; 3; 5; 7 ]
+    (List.init 4 (fun _ -> Memory.alloc_frame m) |> List.sort Int.compare);
+  Alcotest.check_raises "budget exhausted" Memory.Out_of_frames (fun () ->
+      ignore (Memory.alloc_frame m))
+
 let test_memory_contiguous_full_budget () =
   (* With the whole budget freed, a full-budget contiguous request must
      recycle rather than demand fresh frames beyond the budget. *)
@@ -333,7 +369,14 @@ let test_boot_space () =
     ignore (Boot_space.alloc boot ~tib:Value.null ~nfields:4)
   done;
   checkb "grew" true (Boot_space.mem_frames boot >= 2);
-  checki "words used" (61 * 6) (Boot_space.words_used boot)
+  checki "words used" (61 * 6) (Boot_space.words_used boot);
+  (* past its allowance the space refuses, without taking a frame *)
+  Alcotest.check_raises "allowance" Memory.Out_of_frames (fun () ->
+      while true do
+        ignore (Boot_space.alloc boot ~tib:Value.null ~nfields:4)
+      done);
+  checki "at its allowance" Boot_space.max_frames (Boot_space.mem_frames boot);
+  checki "no frame taken past it" Boot_space.max_frames (Memory.live_frames m)
 
 let test_type_registry () =
   let m = Memory.create ~frame_log_words:8 ~max_frames:16 in
@@ -399,6 +442,9 @@ let suite =
     ("memory contiguous recycles", `Quick, test_memory_contiguous_recycles);
     ("memory contiguous fresh fallback", `Quick, test_memory_contiguous_fresh_fallback);
     ("memory contiguous full budget", `Quick, test_memory_contiguous_full_budget);
+    ("memory contiguous lowest run", `Quick, test_memory_contiguous_lowest_run);
+    ("memory contiguous after gap", `Quick, test_memory_contiguous_after_gap);
+    ("memory contiguous range bound", `Quick, test_memory_contiguous_range_bound);
     ("memory cas_word", `Quick, test_memory_cas_word);
     Prop.to_alcotest memory_model_prop;
     ("value tags", `Quick, test_value_tags);

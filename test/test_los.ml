@@ -140,6 +140,55 @@ let test_too_large_for_heap () =
        false
      with Gc.Out_of_memory _ -> true)
 
+(* The memory's range is fixed at the budget plus the boot allowance:
+   a large object that fits the budget but finds no contiguous run in
+   a range fragmented by pinned survivors is an Out_of_memory naming
+   the request and the range, and leaves a sound, usable heap. *)
+let test_fragmented_range () =
+  let gc = gc_of "25.25.100+los:128" in
+  let ty = Gc.register_type gc ~name:"t" in
+  let roots = Gc.roots gc in
+  let mem = (Gc.state gc).State.mem in
+  (* one-frame large objects (202 words) until the heap refuses one,
+     then every other one dropped: the free frames alternate with
+     pinned survivors up to the fresh mark *)
+  let rec fill acc =
+    match Gc.alloc gc ~ty ~nfields:200 with
+    | a -> fill (Roots.new_global roots (Value.of_addr a) :: acc)
+    | exception Gc.Out_of_memory _ -> acc
+  in
+  List.iteri
+    (fun i g -> if i mod 2 = 0 then Roots.set_global roots g Value.null)
+    (fill []);
+  Gc.full_collect gc;
+  let range = Memory.max_frames mem in
+  checki "range is budget + boot allowance"
+    (Gc.heap_frames gc + Boot_space.max_frames) range;
+  (* the smallest run that the never-used indices cannot hold *)
+  let k = range - Memory.fresh_frames mem + 2 in
+  checkb "the budget has room for the run" true
+    (Gc.frames_used gc + k <= Gc.heap_frames gc);
+  let words = k * Memory.frame_words mem in
+  let msg =
+    match Gc.alloc gc ~ty ~nfields:(words - Object_model.header_words) with
+    | _ -> Alcotest.failf "a %d-frame run was placed in a fragmented range" k
+    | exception Gc.Out_of_memory m -> m
+  in
+  Alcotest.(check string) "message"
+    (Printf.sprintf
+       "large object of %d words: no run of %d contiguous free frames in frames [1, %d]"
+       words k range)
+    msg;
+  (match Beltway.Verify.check gc with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "integrity after the refusal: %s" e);
+  (* still usable: a run that does fit, and a collection *)
+  ignore (Gc.alloc gc ~ty ~nfields:200);
+  Gc.full_collect gc;
+  match Beltway.Verify.check gc with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "integrity after reuse: %s" e
+
 let test_trace_differential_with_los () =
   (* random traces with a tiny threshold so some allocations are large *)
   List.iter
@@ -179,6 +228,7 @@ let suite =
     ("large holds structure live", `Quick, test_large_holds_structure_live);
     ("LOS-to-LOS cycle", `Quick, test_large_cycle_between_los_objects);
     ("too large for heap", `Quick, test_too_large_for_heap);
+    ("fragmented range", `Quick, test_fragmented_range);
     ("trace differential with LOS", `Quick, test_trace_differential_with_los);
     ("benchmark with LOS", `Slow, test_los_benchmark_run);
     ("parse and validate", `Quick, test_parse_and_validate);
