@@ -1,11 +1,13 @@
-type t = { dirty : (int, unit) Hashtbl.t }
+module Int_table = Beltway_util.Int_table
 
-let create () = { dirty = Hashtbl.create 64 }
-let mark t ~frame = Hashtbl.replace t.dirty frame ()
-let is_dirty t ~frame = Hashtbl.mem t.dirty frame
-let clear t ~frame = Hashtbl.remove t.dirty frame
+type t = { dirty : unit Int_table.t }
+
+let create () = { dirty = Int_table.create 64 }
+let mark t ~frame = Int_table.replace t.dirty frame ()
+let is_dirty t ~frame = Int_table.mem t.dirty frame
+let clear t ~frame = Int_table.remove t.dirty frame
 
 let iter_dirty t f =
-  Hashtbl.fold (fun frame () acc -> frame :: acc) t.dirty [] |> List.iter f
+  Int_table.fold (fun frame () acc -> frame :: acc) t.dirty [] |> List.iter f
 
-let dirty_count t = Hashtbl.length t.dirty
+let dirty_count t = Int_table.length t.dirty

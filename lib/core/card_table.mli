@@ -27,7 +27,9 @@ val clear : t -> frame:int -> unit
     left to remember, or when its frame is freed). *)
 
 val iter_dirty : t -> (int -> unit) -> unit
-(** All currently dirty frames (order unspecified). Safe against
-    marks/clears during iteration (iterates a snapshot). *)
+(** All currently dirty frames, in an order fixed by the sequence of
+    marks and clears (an {!Beltway_util.Int_table}'s, so independent of
+    [OCAMLRUNPARAM=R]). Safe against marks/clears during iteration
+    (iterates a snapshot). *)
 
 val dirty_count : t -> int

@@ -1,4 +1,6 @@
 module Vec = Beltway_util.Vec
+module Int_vec = Beltway_util.Int_vec
+module Int_table = Beltway_util.Int_table
 
 type plan = {
   increments : Increment.t list;
@@ -52,7 +54,7 @@ type counts = {
 
 type drain = {
   roots : unit -> unit;
-  remembered : int Vec.t -> unit;
+  remembered : Int_vec.t -> unit;
       (** the snapshot of remembered slots whose target frame is in the
           plan and whose source frame is not *)
   dirty : Increment.t array -> unit;
@@ -72,7 +74,7 @@ let unowned addr =
 (* A retained increment leaves the plan: flag and frame bits cleared. *)
 let unplan ftab (inc : Increment.t) =
   inc.Increment.in_plan <- false;
-  Vec.iter (fun f -> Frame_table.set_in_plan ftab ~frame:f false) inc.Increment.frames
+  Int_vec.iter (fun f -> Frame_table.set_in_plan ftab ~frame:f false) inc.Increment.frames
 
 let release st c (inc : Increment.t) =
   c.freed_frames <- c.freed_frames + Increment.occupancy_frames inc;
@@ -135,7 +137,7 @@ let run st plan make =
     (fun (inc : Increment.t) ->
       inc.Increment.in_plan <- true;
       Increment.seal inc;
-      Vec.iter (fun f -> Frame_table.set_in_plan ftab ~frame:f true) inc.Increment.frames)
+      Int_vec.iter (fun f -> Frame_table.set_in_plan ftab ~frame:f true) inc.Increment.frames)
     plan.increments;
   let c =
     { domains = [||]; copied_words = 0; copied_objects = 0; scanned_slots = 0;
@@ -151,12 +153,12 @@ let run st plan make =
            the visit inserts new remset entries and the table must not
            be mutated mid-iteration. *)
         let slots = st.State.gc_slots in
-        Vec.clear slots;
+        Int_vec.clear slots;
         Remset.iter_into st.State.remsets
           ~in_plan:(fun f -> Frame_table.in_plan ftab f)
-          (fun ~slot -> Vec.push slots slot);
+          (fun ~slot -> Int_vec.push slots slot);
         d.remembered slots;
-        Vec.clear slots)
+        Int_vec.clear slots)
   | State.Barrier_cards ->
     span 1 Gc_stats.Phase_cards (fun () ->
         (* Card scanning: every dirty frame outside the plan may hold
@@ -164,15 +166,15 @@ let run st plan make =
            by object — the scan-cost side of the cards-vs-remsets
            trade-off (paper S5). Cards are cleared first and re-marked
            for slots that still hold interesting pointers afterwards. *)
-        let incs = Hashtbl.create 16 in
+        let incs = Int_table.create 16 in
         Card_table.iter_dirty st.State.cards (fun frame ->
             if not (Frame_table.in_plan ftab frame) then begin
               Card_table.clear st.State.cards ~frame;
               match State.inc_of_frame st frame with
-              | Some inc -> Hashtbl.replace incs inc.Increment.id inc
+              | Some inc -> Int_table.replace incs inc.Increment.id inc
               | None -> ()
             end);
-        d.dirty (Array.of_seq (Hashtbl.to_seq_values incs))));
+        d.dirty (Array.of_seq (Int_table.to_seq_values incs))));
   span 2 d.trace_phase d.trace;
   d.settle ();
   span 3 d.reclaim_phase d.reclaim;
@@ -377,8 +379,8 @@ let cheney_drain st plan c =
         forward v)
   in
   let remembered slots =
-    for k = 0 to Vec.length slots - 1 do
-      let slot = Vec.get slots k in
+    for k = 0 to Int_vec.length slots - 1 do
+      let slot = Int_vec.get slots k in
       c.remset_slots <- c.remset_slots + 1;
       let v = Memory.get mem slot in
       if Value.is_ref v then begin
@@ -518,12 +520,12 @@ let parallel_drain st plan c =
   let ctxs = State.par_domains st ndomains in
   Array.iter
     (fun (ctx : State.par_domain) ->
-      Vec.clear ctx.State.pd_stack;
+      Int_vec.clear ctx.State.pd_stack;
       ctx.State.pd_delta <- 0;
       Array.fill ctx.State.pd_dests 0 (Array.length ctx.State.pd_dests) None;
       ctx.State.pd_opened <- [];
-      Vec.clear ctx.State.pd_remember;
-      Vec.clear ctx.State.pd_moves;
+      Int_vec.clear ctx.State.pd_remember;
+      Int_vec.clear ctx.State.pd_moves;
       ctx.State.pd_copied_words <- 0;
       ctx.State.pd_copied_objects <- 0;
       ctx.State.pd_scanned_slots <- 0;
@@ -578,7 +580,7 @@ let parallel_drain st plan c =
      batches from the drain loop. *)
   let grey_push (ctx : State.par_domain) obj =
     ctx.State.pd_delta <- ctx.State.pd_delta + 1;
-    Vec.push ctx.State.pd_stack obj
+    Int_vec.push ctx.State.pd_stack obj
   in
 
   (* Private destination allocation: bump without synchronisation;
@@ -622,8 +624,8 @@ let parallel_drain st plan c =
       ctx.State.pd_copied_words <- ctx.State.pd_copied_words + size;
       ctx.State.pd_copied_objects <- ctx.State.pd_copied_objects + 1;
       if record_moves then begin
-        Vec.push ctx.State.pd_moves addr;
-        Vec.push ctx.State.pd_moves new_addr
+        Int_vec.push ctx.State.pd_moves addr;
+        Int_vec.push ctx.State.pd_moves new_addr
       end;
       grey_push ctx new_addr;
       new_addr
@@ -677,8 +679,8 @@ let parallel_drain st plan c =
      main domain re-evaluates the predicate over the settled table. *)
   let buffer_remember ctx ~slot ~src ~tgt =
     if src <> tgt && Frame_table.stamp ftab tgt < Frame_table.stamp ftab src then begin
-      Vec.push ctx.State.pd_remember slot;
-      Vec.push ctx.State.pd_remember tgt
+      Int_vec.push ctx.State.pd_remember slot;
+      Int_vec.push ctx.State.pd_remember tgt
     end
   in
 
@@ -734,10 +736,10 @@ let parallel_drain st plan c =
      sequential drain. *)
   let remembered slots =
     on_team 1 (fun i ctx ->
-        let len = Vec.length slots in
+        let len = Int_vec.length slots in
         let k = ref i in
         while !k < len && not (aborted ()) do
-          let slot = Vec.get slots !k in
+          let slot = Int_vec.get slots !k in
           ctx.State.pd_remset_slots <- ctx.State.pd_remset_slots + 1;
           let v = Memory.get mem slot in
           if Value.is_ref v then begin
@@ -801,17 +803,17 @@ let parallel_drain st plan c =
         in
         let rec own () =
           if
-            Vec.length ctx.State.pd_stack > offload_trigger
+            Int_vec.length ctx.State.pd_stack > offload_trigger
             && Deque.length ctx.State.pd_grey < offload_low
           then begin
             for _ = 1 to offload_batch do
-              Deque.push ctx.State.pd_grey (Vec.pop ctx.State.pd_stack)
+              Deque.push ctx.State.pd_grey (Int_vec.pop ctx.State.pd_stack)
             done;
             if Atomic.get sleepers > 0 then wake_all ()
           end;
           if ctx.State.pd_delta > flush_bound then flush ctx;
-          if not (Vec.is_empty ctx.State.pd_stack) then begin
-            scan (Vec.pop ctx.State.pd_stack);
+          if not (Int_vec.is_empty ctx.State.pd_stack) then begin
+            scan (Int_vec.pop ctx.State.pd_stack);
             own ()
           end
           else begin
@@ -863,14 +865,14 @@ let parallel_drain st plan c =
       Array.iter
         (fun (ctx : State.par_domain) ->
           let mv = ctx.State.pd_moves in
-          let len = Vec.length mv in
+          let len = Int_vec.length mv in
           let k = ref 0 in
           while !k < len do
-            let src = Vec.get mv !k and dst = Vec.get mv (!k + 1) in
+            let src = Int_vec.get mv !k and dst = Int_vec.get mv (!k + 1) in
             List.iter (fun h -> h.State.on_move ~src ~dst) st.State.hooks;
             k := !k + 2
           done;
-          Vec.clear mv)
+          Int_vec.clear mv)
         ctxs;
     Array.iter
       (fun (ctx : State.par_domain) ->
@@ -880,15 +882,15 @@ let parallel_drain st plan c =
         c.remset_slots <- c.remset_slots + ctx.State.pd_remset_slots;
         c.roots_scanned <- c.roots_scanned + ctx.State.pd_roots_scanned;
         let buf = ctx.State.pd_remember in
-        let len = Vec.length buf in
+        let len = Int_vec.length buf in
         let k = ref 0 in
         while !k < len do
-          let slot = Vec.get buf !k and tgt = Vec.get buf (!k + 1) in
+          let slot = Int_vec.get buf !k and tgt = Int_vec.get buf (!k + 1) in
           Write_barrier.re_remember st ~use_cards ~slot
             ~src_frame:(slot lsr frame_log) ~tgt_frame:tgt;
           k := !k + 2
         done;
-        Vec.clear buf;
+        Int_vec.clear buf;
         List.iter
           (fun (inc : Increment.t) ->
             if Increment.words_used inc = 0 then State.free_increment st inc)
@@ -985,7 +987,7 @@ let mark_drain ~compact st plan c =
         inc.Increment.belt <- dest;
         inc.Increment.stamp <- State.stamp_for_belt st dest;
         Belt.push_back st.State.belts.(dest) inc;
-        Vec.iter
+        Int_vec.iter
           (fun f -> Frame_table.restamp ftab ~frame:f ~stamp:inc.Increment.stamp)
           inc.Increment.frames
       end)
@@ -997,10 +999,10 @@ let mark_drain ~compact st plan c =
   Memory.ensure_marks mem;
   List.iter
     (fun (inc : Increment.t) ->
-      Vec.iter (fun f -> Memory.clear_marks_frame mem f) inc.Increment.frames)
+      Int_vec.iter (fun f -> Memory.clear_marks_frame mem f) inc.Increment.frames)
     plan.increments;
   let stack = st.State.gc_mark_stack in
-  Vec.clear stack;
+  Int_vec.clear stack;
 
   (* Grey an object: mark bit, statistics, stack push. Pinned objects
      are marked through the same bitmap on their base address, so
@@ -1017,7 +1019,7 @@ let mark_drain ~compact st plan c =
         c.marked_words <-
           c.marked_words + (Memory.unsafe_get mem addr lsr 1)
           + Object_model.header_words;
-        Vec.push stack addr
+        Int_vec.push stack addr
       end
     end
   in
@@ -1045,12 +1047,12 @@ let mark_drain ~compact st plan c =
      vacated target frame drops its entries). Deduplicated: threading
      one slot twice would tie its chain into a cycle. The sweep needs
      none of this and leaves the vector empty. *)
-  let ext_slots : int Vec.t = Vec.create ~dummy:0 () in
-  let ext_seen : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  let ext_slots : Int_vec.t = Int_vec.create () in
+  let ext_seen : unit Int_table.t = Int_table.create 64 in
   let note_ext slot =
-    if compact && not (Hashtbl.mem ext_seen slot) then begin
-      Hashtbl.replace ext_seen slot ();
-      Vec.push ext_slots slot
+    if compact && not (Int_table.mem ext_seen slot) then begin
+      Int_table.replace ext_seen slot ();
+      Int_vec.push ext_slots slot
     end
   in
 
@@ -1063,8 +1065,8 @@ let mark_drain ~compact st plan c =
         v)
   in
   let remembered slots =
-    for k = 0 to Vec.length slots - 1 do
-      let slot = Vec.get slots k in
+    for k = 0 to Int_vec.length slots - 1 do
+      let slot = Int_vec.get slots k in
       c.remset_slots <- c.remset_slots + 1;
       let v = Memory.get mem slot in
       if Value.is_ref v then begin
@@ -1104,8 +1106,8 @@ let mark_drain ~compact st plan c =
      analogue of the copying scan's re-recording. The compactor defers
      it to after the slide: both the slots and their targets move. *)
   let mark () =
-    while not (Vec.is_empty stack) do
-      let obj = Vec.pop stack in
+    while not (Int_vec.is_empty stack) do
+      let obj = Int_vec.pop stack in
       let n = Memory.unsafe_get mem obj lsr 1 in
       for slot = obj + 1 to obj + 1 + n do
         let v = Memory.unsafe_get mem slot in
@@ -1155,7 +1157,7 @@ let mark_drain ~compact st plan c =
           let keep = Array.make (max nframes 1) false in
           let any_live = ref false in
           for fi = 0 to nframes - 1 do
-            let base = Memory.frame_base mem (Vec.get inc.Increment.frames fi) in
+            let base = Memory.frame_base mem (Int_vec.get inc.Increment.frames fi) in
             let extent = base + Increment.used_of_frame inc mem fi in
             let a = ref base in
             while !a < extent do
@@ -1169,12 +1171,12 @@ let mark_drain ~compact st plan c =
           if not !any_live then release st c inc
           else begin
             Increment.clear_free_list inc;
-            let kept_frames = Vec.create ~dummy:0 () in
-            let kept_used = Vec.create ~dummy:0 () in
+            let kept_frames = Int_vec.create () in
+            let kept_used = Int_vec.create () in
             let live = ref 0 in
             let fillers = ref 0 in
             for fi = 0 to nframes - 1 do
-              let frame = Vec.get inc.Increment.frames fi in
+              let frame = Int_vec.get inc.Increment.frames fi in
               if not keep.(fi) then free_frame inc frame
               else begin
                 let used = Increment.used_of_frame inc mem fi in
@@ -1212,26 +1214,26 @@ let mark_drain ~compact st plan c =
                   a := !a + size
                 done;
                 flush extent;
-                Vec.push kept_frames frame;
-                Vec.push kept_used used
+                Int_vec.push kept_frames frame;
+                Int_vec.push kept_used used
               end
             done;
             (* Rebuild over the surviving frames: the last reopens
                under the bump cursor (its tail words are still zeroed —
                bump allocation never reached them), the others keep
                their recorded extents. *)
-            Vec.clear inc.Increment.frames;
-            Vec.clear inc.Increment.frame_used;
-            let m = Vec.length kept_frames in
+            Int_vec.clear inc.Increment.frames;
+            Int_vec.clear inc.Increment.frame_used;
+            let m = Int_vec.length kept_frames in
             let words = ref 0 in
             for i = 0 to m - 1 do
-              Vec.push inc.Increment.frames (Vec.get kept_frames i);
-              words := !words + Vec.get kept_used i;
+              Int_vec.push inc.Increment.frames (Int_vec.get kept_frames i);
+              words := !words + Int_vec.get kept_used i;
               if i < m - 1 then
-                Vec.push inc.Increment.frame_used (Vec.get kept_used i)
+                Int_vec.push inc.Increment.frame_used (Int_vec.get kept_used i)
             done;
-            let last_base = Memory.frame_base mem (Vec.get kept_frames (m - 1)) in
-            inc.Increment.cursor <- last_base + Vec.get kept_used (m - 1);
+            let last_base = Memory.frame_base mem (Int_vec.get kept_frames (m - 1)) in
+            inc.Increment.cursor <- last_base + Int_vec.get kept_used (m - 1);
             inc.Increment.limit <- last_base + frame_words;
             inc.Increment.words_used <- !words;
             inc.Increment.objects <- !live + !fillers;
@@ -1289,7 +1291,7 @@ let mark_drain ~compact st plan c =
         end
       end
     in
-    Vec.iter thread_slot ext_slots;
+    Int_vec.iter thread_slot ext_slots;
 
     let compacting =
       List.filter
@@ -1309,10 +1311,10 @@ let mark_drain ~compact st plan c =
     (* Relocation table for the root slots, which live outside the
        simulated heap and cannot be threaded — the one deviation from
        pure threading. Only movers are recorded. *)
-    let old_new : (int, int) Hashtbl.t = Hashtbl.create 256 in
+    let old_new : int Int_table.t = Int_table.create 256 in
     (* Destination frame count per increment, decided by pass one;
        zero when nothing survives. *)
-    let live_frames : (int, int) Hashtbl.t = Hashtbl.create 16 in
+    let live_frames : int Int_table.t = Int_table.create 16 in
 
     (* Both passes walk [inc]'s survivors in stream order, place each
        with the same cursor and unthread it: referrers recorded so far
@@ -1328,12 +1330,12 @@ let mark_drain ~compact st plan c =
       let daddr = ref Addr.null in
       let dlimit = ref Addr.null in
       if nframes > 0 then begin
-        daddr := Memory.frame_base mem (Vec.get inc.Increment.frames 0);
+        daddr := Memory.frame_base mem (Int_vec.get inc.Increment.frames 0);
         dlimit := !daddr + frame_words
       end;
       let live = ref 0 in
       for fi = 0 to nframes - 1 do
-        let base = Memory.frame_base mem (Vec.get inc.Increment.frames fi) in
+        let base = Memory.frame_base mem (Int_vec.get inc.Increment.frames fi) in
         let extent = base + Increment.used_of_frame inc mem fi in
         let a = ref base in
         while !a < extent do
@@ -1343,15 +1345,15 @@ let mark_drain ~compact st plan c =
             let size = (h lsr 1) + Object_model.header_words in
             if !daddr + size > !dlimit then begin
               if slide then
-                Vec.push extents
-                  (!daddr - Memory.frame_base mem (Vec.get inc.Increment.frames !dfi));
+                Int_vec.push extents
+                  (!daddr - Memory.frame_base mem (Int_vec.get inc.Increment.frames !dfi));
               incr dfi;
-              daddr := Memory.frame_base mem (Vec.get inc.Increment.frames !dfi);
+              daddr := Memory.frame_base mem (Int_vec.get inc.Increment.frames !dfi);
               dlimit := !daddr + frame_words
             end;
             let dst = !daddr in
             daddr := dst + size;
-            if (not slide) && dst <> !a then Hashtbl.replace old_new !a dst;
+            if (not slide) && dst <> !a then Int_table.replace old_new !a dst;
             let w = ref (Memory.unsafe_get mem !a) in
             while !w land 1 = 1 do
               let s = !w lsr 1 in
@@ -1397,16 +1399,32 @@ let mark_drain ~compact st plan c =
         done
       done;
       if slide then
-        Vec.push extents
-          (!daddr - Memory.frame_base mem (Vec.get inc.Increment.frames !dfi));
+        Int_vec.push extents
+          (!daddr - Memory.frame_base mem (Int_vec.get inc.Increment.frames !dfi));
       (!live, !dfi + 1, !daddr)
     in
-    let no_extents = Vec.create ~dummy:0 () in
+    let no_extents = Int_vec.create () in
     List.iter
       (fun (inc : Increment.t) ->
         let live, frames, _ = walk ~slide:false ~m:0 inc no_extents in
-        Hashtbl.replace live_frames inc.Increment.id (if live > 0 then frames else 0))
+        Int_table.replace live_frames inc.Increment.id (if live > 0 then frames else 0))
       compacting;
+
+    (* Root slots, from the relocation table, while the plan's frame
+       bits still say which roots can have moved: only a root into a
+       compacting (in-plan, unpinned) frame is looked up. Nothing reads
+       a root during the slide. *)
+    Roots.iter_update st.State.roots (fun v ->
+        if Value.is_ref v then begin
+          let a = Value.to_addr v in
+          let m = Frame_table.meta ftab (a lsr frame_log) in
+          if Frame_table.meta_in_plan m && not (Frame_table.meta_pinned m) then
+            match Int_table.find_opt old_new a with
+            | Some dst -> Value.of_addr dst
+            | None -> v
+          else v
+        end
+        else v);
 
     (* Pass two, then rebuild the increment over its survivor prefix.
        Finishing each increment here is sound: all of its slots already
@@ -1414,27 +1432,27 @@ let mark_drain ~compact st plan c =
        one, which ran to completion everywhere). *)
     List.iter
       (fun (inc : Increment.t) ->
-        let m = Hashtbl.find live_frames inc.Increment.id in
+        let m = Int_table.find live_frames inc.Increment.id in
         if m = 0 then release st c inc
         else begin
           let nframes = Increment.frame_count inc in
-          let extents = Vec.create ~dummy:0 () in
+          let extents = Int_vec.create () in
           let live, _, cursor = walk ~slide:true ~m inc extents in
           (* Free the vacated tail, rebuild the survivor prefix. *)
           for fi = nframes - 1 downto m do
-            free_frame inc (Vec.get inc.Increment.frames fi)
+            free_frame inc (Int_vec.get inc.Increment.frames fi)
           done;
-          Vec.truncate inc.Increment.frames m;
-          Vec.clear inc.Increment.frame_used;
+          Int_vec.truncate inc.Increment.frames m;
+          Int_vec.clear inc.Increment.frame_used;
           let words = ref 0 in
           for i = 0 to m - 1 do
-            let u = Vec.get extents i in
+            let u = Int_vec.get extents i in
             words := !words + u;
-            if i < m - 1 then Vec.push inc.Increment.frame_used u
+            if i < m - 1 then Int_vec.push inc.Increment.frame_used u
           done;
           inc.Increment.cursor <- cursor;
           inc.Increment.limit <-
-            Memory.frame_base mem (Vec.get inc.Increment.frames (m - 1))
+            Memory.frame_base mem (Int_vec.get inc.Increment.frames (m - 1))
             + frame_words;
           (* The slide leaves stale object images under the reopened
              bump tail; allocation assumes zeroed words. *)
@@ -1451,8 +1469,8 @@ let mark_drain ~compact st plan c =
              (the in-place analogue of the copying scan's
              re-recording): every slot here is final. *)
           for i = 0 to m - 1 do
-            let base = Memory.frame_base mem (Vec.get inc.Increment.frames i) in
-            let extent = base + Vec.get extents i in
+            let base = Memory.frame_base mem (Int_vec.get inc.Increment.frames i) in
+            let extent = base + Int_vec.get extents i in
             let a = ref base in
             while !a < extent do
               re_remember_object !a;
@@ -1469,18 +1487,10 @@ let mark_drain ~compact st plan c =
         if inc.Increment.pinned then finish_pinned ~rescan:true inc)
       plan.increments;
 
-    (* Root slots, from the relocation table. *)
-    Roots.iter_update st.State.roots (fun v ->
-        if Value.is_ref v then (
-          match Hashtbl.find_opt old_new (Value.to_addr v) with
-          | Some dst -> Value.of_addr dst
-          | None -> v)
-        else v);
-
     (* External referrer slots: re-record under the final target
        frames. An entry keyed by a vacated target frame was dropped
        with that frame; this re-insertion is what preserves it. *)
-    Vec.iter
+    Int_vec.iter
       (fun slot ->
         let v = Memory.get mem slot in
         if Value.is_ref v then

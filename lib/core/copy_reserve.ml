@@ -4,56 +4,57 @@
    is the original [nbelts + 2]. *)
 let pad st = (Array.length st.State.belts * st.State.gc_domains) + 2
 
+(* Walks the belts in place (this runs on every nursery frame grant,
+   through [Trigger.heap_full]): no list of increments is built and
+   nothing is allocated per increment. *)
 let dynamic_frames st =
+  let belts = st.State.belts in
+  let nbelts = Array.length belts in
   (* Floor: the largest bounded increment size — a fresh increment of
      that size could always fill and require evacuation. *)
   let floor_frames =
     Array.fold_left
-      (fun acc bound -> match bound with Some b -> max acc b | None -> acc)
+      (fun acc bound -> match bound with Some b -> Int.max acc b | None -> acc)
       0 st.State.belt_bounds
   in
-  let nbelts = Array.length st.State.belts in
-  (* Top-two occupancies among increments promoting into each belt, so
-     an increment's own contribution can be excluded from its own
-     potential (otherwise the semi-space increment would count itself
-     as its own copy source and halve utilisation). *)
-  let in_best = Array.make nbelts (0, -1) in
-  let in_second = Array.make nbelts 0 in
-  List.iter
-    (fun (inc : Increment.t) ->
-      if not inc.Increment.pinned then begin
-        let d = State.dest_belt st inc.Increment.belt in
-        let occ = Increment.occupancy_frames inc in
-        let best_occ, _ = in_best.(d) in
-        if occ > best_occ then begin
-          in_second.(d) <- best_occ;
-          in_best.(d) <- (occ, inc.Increment.id)
-        end
-        else if occ > in_second.(d) then in_second.(d) <- occ
-      end)
-    (State.live_increments st);
-  let incoming belt ~excluding =
-    let best_occ, best_id = in_best.(belt) in
-    if best_id = excluding then in_second.(belt) else best_occ
+  (* Top-two occupancies among increments promoting into each belt
+     ([first] held by increment [first_id]), so an increment's own
+     contribution can be excluded from its own potential (otherwise the
+     semi-space increment would count itself as its own copy source and
+     halve utilisation). *)
+  let first = Array.make nbelts 0 in
+  let first_id = Array.make nbelts (-1) in
+  let second = Array.make nbelts 0 in
+  let rank () (inc : Increment.t) =
+    if not inc.Increment.pinned then begin
+      let d = State.dest_belt st inc.Increment.belt in
+      let occ = Increment.occupancy_frames inc in
+      if occ > first.(d) then begin
+        second.(d) <- first.(d);
+        first.(d) <- occ;
+        first_id.(d) <- inc.Increment.id
+      end
+      else if occ > second.(d) then second.(d) <- occ
+    end
   in
-  let potential =
-    List.fold_left
-      (fun acc (inc : Increment.t) ->
-        if inc.Increment.pinned then acc (* never evacuated *)
-        else begin
-          let occ = Increment.occupancy_frames inc in
-          let p =
-            (* Only the back (open) increment of a belt receives copies. *)
-            match Belt.back st.State.belts.(inc.Increment.belt) with
-            | Some back when back.Increment.id = inc.Increment.id ->
-              occ + incoming inc.Increment.belt ~excluding:inc.Increment.id
-            | _ -> occ
-          in
-          max acc p
-        end)
-      0 (State.live_increments st)
+  Array.iter (fun b -> Belt.fold b ~init:() ~f:rank) belts;
+  let potential acc (inc : Increment.t) =
+    if inc.Increment.pinned then acc (* never evacuated *)
+    else begin
+      let occ = Increment.occupancy_frames inc in
+      let belt = inc.Increment.belt in
+      let p =
+        (* Only the back (open) increment of a belt receives copies. *)
+        match Belt.back belts.(belt) with
+        | Some back when back.Increment.id = inc.Increment.id ->
+          occ + if first_id.(belt) = inc.Increment.id then second.(belt) else first.(belt)
+        | _ -> occ
+      in
+      Int.max acc p
+    end
   in
-  max floor_frames potential + pad st
+  let p = Array.fold_left (fun acc b -> Belt.fold b ~init:acc ~f:potential) 0 belts in
+  Int.max floor_frames p + pad st
 
 (* "Slightly more generous" than half: copied data may not pack as
    well as the original (frame-seam waste), so the fixed reserve

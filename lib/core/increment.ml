@@ -1,11 +1,12 @@
 module Vec = Beltway_util.Vec
+module Int_vec = Beltway_util.Int_vec
 
 type t = {
   id : int;
   mutable belt : int;
   mutable stamp : int;
-  frames : int Vec.t;
-  frame_used : int Vec.t;
+  frames : Int_vec.t;
+  frame_used : Int_vec.t;
   mutable cursor : Addr.t;
   mutable limit : Addr.t;
   mutable words_used : int;
@@ -27,8 +28,8 @@ let create ~id ~belt ~stamp ~bound_frames =
     id;
     belt;
     stamp;
-    frames = Vec.create ~dummy:0 ();
-    frame_used = Vec.create ~dummy:0 ();
+    frames = Int_vec.create ();
+    frame_used = Int_vec.create ();
     cursor = Addr.null;
     limit = Addr.null;
     words_used = 0;
@@ -52,8 +53,8 @@ let create_pinned ~id ~belt ~stamp ~frames:frame_list mem ~size =
       id;
       belt;
       stamp;
-      frames = Vec.create ~dummy:0 ();
-      frame_used = Vec.create ~dummy:0 ();
+      frames = Int_vec.create ();
+      frame_used = Int_vec.create ();
       cursor = Addr.null;
       limit = Addr.null;
       words_used = size;
@@ -72,9 +73,9 @@ let create_pinned ~id ~belt ~stamp ~frames:frame_list mem ~size =
   let n = List.length frame_list in
   List.iteri
     (fun i f ->
-      Vec.push t.frames f;
+      Int_vec.push t.frames f;
       (* Every frame fully used except possibly the last. *)
-      Vec.push t.frame_used (if i < n - 1 then fw else size - ((n - 1) * fw)))
+      Int_vec.push t.frame_used (if i < n - 1 then fw else size - ((n - 1) * fw)))
     frame_list;
   (match frame_list with
   | first :: _ ->
@@ -85,10 +86,10 @@ let create_pinned ~id ~belt ~stamp ~frames:frame_list mem ~size =
 
 let base_object t mem =
   if not t.pinned then invalid_arg "Increment.base_object: not pinned";
-  Memory.frame_base mem (Vec.get t.frames 0)
+  Memory.frame_base mem (Int_vec.get t.frames 0)
 
-let frame_count t = Vec.length t.frames
-let occupancy_frames t = Vec.length t.frames
+let frame_count t = Int_vec.length t.frames
+let occupancy_frames t = Int_vec.length t.frames
 let words_used t = t.words_used
 
 let wasted_words t mem =
@@ -100,15 +101,15 @@ let at_bound t =
 let retire_current_frame t mem =
   (* Record how much of the frame the bump pointer actually used. *)
   if frame_count t > 0 then begin
-    let base = Memory.frame_base mem (Vec.top t.frames) in
-    Vec.push t.frame_used (t.cursor - base)
+    let base = Memory.frame_base mem (Int_vec.top t.frames) in
+    Int_vec.push t.frame_used (t.cursor - base)
   end
 
 let add_frame t mem frame =
   if t.sealed then invalid_arg "Increment.add_frame: sealed";
   if at_bound t then invalid_arg "Increment.add_frame: at bound";
   retire_current_frame t mem;
-  Vec.push t.frames frame;
+  Int_vec.push t.frames frame;
   t.cursor <- Memory.frame_base mem frame;
   t.limit <- t.cursor + Memory.frame_words mem
 
@@ -352,9 +353,9 @@ let alloc_or_null t mem ~size =
 (* Used words of frame [fi]: retired frames have a recorded extent; the
    frame under the cursor extends to the cursor. *)
 let used_of_frame t mem fi =
-  if fi < Vec.length t.frame_used then Vec.get t.frame_used fi
+  if fi < Int_vec.length t.frame_used then Int_vec.get t.frame_used fi
   else if fi = frame_count t - 1 && t.cursor <> Addr.null then
-    t.cursor - Memory.frame_base mem (Vec.get t.frames fi)
+    t.cursor - Memory.frame_base mem (Int_vec.get t.frames fi)
   else 0
 
 let scan_pos t = { fi = frame_count t - 1; addr = t.cursor }
@@ -368,17 +369,17 @@ let normalise t mem pos =
   else begin
     if pos.addr = Addr.null then begin
       pos.fi <- 0;
-      pos.addr <- Memory.frame_base mem (Vec.get t.frames 0)
+      pos.addr <- Memory.frame_base mem (Int_vec.get t.frames 0)
     end;
     (* Skip over frame seams: if we reached the used extent of the
        current frame and further frames exist, hop to the next base. *)
     let continue = ref true in
     while !continue do
-      let base = Memory.frame_base mem (Vec.get t.frames pos.fi) in
+      let base = Memory.frame_base mem (Int_vec.get t.frames pos.fi) in
       let extent = base + used_of_frame t mem pos.fi in
       if pos.addr >= extent && pos.fi < frame_count t - 1 then begin
         pos.fi <- pos.fi + 1;
-        pos.addr <- Memory.frame_base mem (Vec.get t.frames pos.fi)
+        pos.addr <- Memory.frame_base mem (Int_vec.get t.frames pos.fi)
       end
       else continue := false
     done

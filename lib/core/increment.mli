@@ -12,8 +12,8 @@ type t = {
   id : int;
   mutable belt : int; (* belt index; updated when BOF flips belts *)
   mutable stamp : int;
-  frames : int Beltway_util.Vec.t; (* frame indices, allocation order *)
-  frame_used : int Beltway_util.Vec.t; (* used words per retired frame *)
+  frames : Beltway_util.Int_vec.t; (* frame indices, allocation order *)
+  frame_used : Beltway_util.Int_vec.t; (* used words per retired frame *)
   mutable cursor : Addr.t; (* bump pointer; null if no frame yet *)
   mutable limit : Addr.t; (* end of current frame *)
   mutable words_used : int; (* live-words estimate: words ever bumped *)

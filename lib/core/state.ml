@@ -40,13 +40,13 @@ let noop_hooks =
    hook firings — neither the remset tables nor the hooks are
    thread-safe). *)
 type par_domain = {
-  pd_stack : int Beltway_util.Vec.t; (* private grey stack, no atomics *)
+  pd_stack : Beltway_util.Int_vec.t; (* private grey stack, no atomics *)
   pd_grey : Beltway_util.Deque.t; (* published surplus, steal target *)
   mutable pd_delta : int; (* unflushed in-flight delta *)
   pd_dests : Increment.t option array; (* private open dest per belt *)
   mutable pd_opened : Increment.t list; (* dests this domain opened this GC *)
-  pd_remember : int Beltway_util.Vec.t; (* (slot, tgt frame) pairs *)
-  pd_moves : int Beltway_util.Vec.t; (* (src, dst) pairs, when hooks installed *)
+  pd_remember : Beltway_util.Int_vec.t; (* (slot, tgt frame) pairs *)
+  pd_moves : Beltway_util.Int_vec.t; (* (src, dst) pairs, when hooks installed *)
   mutable pd_copied_words : int;
   mutable pd_copied_objects : int;
   mutable pd_scanned_slots : int;
@@ -118,9 +118,9 @@ type t = {
   stats : Gc_stats.t;
   incs_by_id : (int, Increment.t) Hashtbl.t;
   mutable inc_by_id : Increment.t option array;
-  gc_slots : int Beltway_util.Vec.t;
+  gc_slots : Beltway_util.Int_vec.t;
   gc_pinned : Increment.t Beltway_util.Vec.t;
-  gc_mark_stack : int Beltway_util.Vec.t;
+  gc_mark_stack : Beltway_util.Int_vec.t;
   fit_incs : Increment.t Beltway_util.Vec.t;
   mutable fit_valid : bool;
   mutable fit_resume : int array;
@@ -236,14 +236,14 @@ let create ?(strategy = copying_strategy) ~config ~policy ~heap_frames
     heap_frames;
     belts;
     belt_bounds;
-    remsets = Remset.create ();
+    remsets = Remset.create ~max_frames ();
     cards = Card_table.create ();
     stats;
     incs_by_id = Hashtbl.create 64;
     inc_by_id = Array.make 64 None;
-    gc_slots = Beltway_util.Vec.create ~dummy:0 ();
+    gc_slots = Beltway_util.Int_vec.create ();
     gc_pinned = Beltway_util.Vec.create ~dummy:no_inc ();
-    gc_mark_stack = Beltway_util.Vec.create ~dummy:0 ();
+    gc_mark_stack = Beltway_util.Int_vec.create ();
     fit_incs = Beltway_util.Vec.create ~dummy:no_inc ();
     fit_valid = false;
     fit_resume = [||];
@@ -265,13 +265,13 @@ let create ?(strategy = copying_strategy) ~config ~policy ~heap_frames
 
 let make_par_domain t =
   {
-    pd_stack = Beltway_util.Vec.create ~dummy:0 ();
+    pd_stack = Beltway_util.Int_vec.create ();
     pd_grey = Beltway_util.Deque.create ~empty:Addr.null ();
     pd_delta = 0;
     pd_dests = Array.make (Array.length t.belts) None;
     pd_opened = [];
-    pd_remember = Beltway_util.Vec.create ~dummy:0 ();
-    pd_moves = Beltway_util.Vec.create ~dummy:0 ();
+    pd_remember = Beltway_util.Int_vec.create ();
+    pd_moves = Beltway_util.Int_vec.create ();
     pd_copied_words = 0;
     pd_copied_objects = 0;
     pd_scanned_slots = 0;
@@ -415,7 +415,7 @@ let free_frame t inc frame =
   | hs -> List.iter (fun h -> h.on_frame_free ~frame ~belt:inc.Increment.belt) hs
 
 let free_increment t inc =
-  Beltway_util.Vec.iter (free_frame t inc) inc.Increment.frames;
+  Beltway_util.Int_vec.iter (free_frame t inc) inc.Increment.frames;
   Belt.remove t.belts.(inc.Increment.belt) inc;
   Hashtbl.remove t.incs_by_id inc.Increment.id;
   t.inc_by_id.(inc.Increment.id) <- None

@@ -70,7 +70,7 @@ val noop_hooks : hooks
 (** All-no-op record, for [{ noop_hooks with ... }] updates. *)
 
 type par_domain = {
-  pd_stack : int Beltway_util.Vec.t;
+  pd_stack : Beltway_util.Int_vec.t;
       (** private grey stack: the drain's hot path, no atomics *)
   pd_grey : Beltway_util.Deque.t;
       (** published surplus, stolen from by other domains *)
@@ -79,8 +79,8 @@ type par_domain = {
           batched into the shared counter at steal boundaries *)
   pd_dests : Increment.t option array;
   mutable pd_opened : Increment.t list;
-  pd_remember : int Beltway_util.Vec.t;
-  pd_moves : int Beltway_util.Vec.t;
+  pd_remember : Beltway_util.Int_vec.t;
+  pd_moves : Beltway_util.Int_vec.t;
   mutable pd_copied_words : int;
   mutable pd_copied_objects : int;
   mutable pd_scanned_slots : int;
@@ -174,11 +174,11 @@ type t = {
       (** mirror of [incs_by_id]: id -> increment as a grow-on-demand
           array, so the collection fast path resolves an increment id
           with an array read instead of a hash probe *)
-  gc_slots : int Beltway_util.Vec.t;
+  gc_slots : Beltway_util.Int_vec.t;
       (** reused scratch for the collector's remembered-slot snapshot *)
   gc_pinned : Increment.t Beltway_util.Vec.t;
       (** reused scratch for the collector's pinned grey set *)
-  gc_mark_stack : int Beltway_util.Vec.t;
+  gc_mark_stack : Beltway_util.Int_vec.t;
       (** reused scratch for the marking strategies' explicit mark
           stack (grey object addresses) *)
   fit_incs : Increment.t Beltway_util.Vec.t;

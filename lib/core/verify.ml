@@ -55,7 +55,7 @@ let check_frames st =
   List.fold_left
     (fun acc (inc : Increment.t) ->
       let* () = acc in
-      Beltway_util.Vec.fold
+      Beltway_util.Int_vec.fold
         (fun acc frame ->
           let* () = acc in
           if Frame_table.incr_of st.State.ftab frame <> inc.Increment.id then

@@ -2,7 +2,7 @@ let max_frames = 8
 
 type t = {
   mem : Memory.t;
-  frames : int Beltway_util.Vec.t;
+  frames : Beltway_util.Int_vec.t;
   frame_set : (int, unit) Hashtbl.t;
   mutable cursor : Addr.t; (* next free word, 0 = no frame yet *)
   mutable limit : Addr.t; (* one past the current frame *)
@@ -12,7 +12,7 @@ type t = {
 let create mem =
   {
     mem;
-    frames = Beltway_util.Vec.create ~dummy:0 ();
+    frames = Beltway_util.Int_vec.create ();
     frame_set = Hashtbl.create 16;
     cursor = Addr.null;
     limit = Addr.null;
@@ -20,9 +20,9 @@ let create mem =
   }
 
 let extend t =
-  if Beltway_util.Vec.length t.frames >= max_frames then raise Memory.Out_of_frames;
+  if Beltway_util.Int_vec.length t.frames >= max_frames then raise Memory.Out_of_frames;
   let f = Memory.alloc_frame t.mem in
-  Beltway_util.Vec.push t.frames f;
+  Beltway_util.Int_vec.push t.frames f;
   Hashtbl.replace t.frame_set f ();
   t.cursor <- Memory.frame_base t.mem f;
   t.limit <- t.cursor + Memory.frame_words t.mem
@@ -38,7 +38,7 @@ let alloc t ~tib ~nfields =
   Object_model.init t.mem addr ~tib ~nfields;
   addr
 
-let frames t = Beltway_util.Vec.to_list t.frames
-let mem_frames t = Beltway_util.Vec.length t.frames
+let frames t = Beltway_util.Int_vec.to_list t.frames
+let mem_frames t = Beltway_util.Int_vec.length t.frames
 let contains t a = a <> Addr.null && Hashtbl.mem t.frame_set (Memory.addr_frame t.mem a)
 let words_used t = t.used

@@ -10,7 +10,7 @@ type t = {
       (* one flat backing for frames 0..max_frames; frame f occupies
          [f lsl frame_log, (f+1) lsl frame_log) *)
   liveness : Bytes.t; (* bit per frame; 0 = unmapped/dead *)
-  free_list : int Beltway_util.Vec.t; (* recycled frame indices *)
+  free_list : Beltway_util.Int_vec.t; (* recycled frame indices *)
   mutable next_fresh : int; (* next never-used frame index *)
   mutable live : int;
   mutable cas_locks : bool Atomic.t array;
@@ -53,7 +53,7 @@ let create ~frame_log_words ~max_frames =
        initialisation: pages never handed out are never touched. *)
     flat = alloc_flat ((max_frames + 1) lsl frame_log_words);
     liveness = Bytes.make ((max_frames + 8) / 8) '\000';
-    free_list = Beltway_util.Vec.create ~dummy:0 ();
+    free_list = Beltway_util.Int_vec.create ();
     next_fresh = 1 (* frame 0 reserved: address 0 is null *);
     live = 0;
     cas_locks = [||];
@@ -102,8 +102,8 @@ let map_frame t idx =
 let alloc_frame t =
   if t.live >= t.max_frames then raise Out_of_frames;
   let idx =
-    if not (Beltway_util.Vec.is_empty t.free_list) then
-      Beltway_util.Vec.pop t.free_list
+    if not (Beltway_util.Int_vec.is_empty t.free_list) then
+      Beltway_util.Int_vec.pop t.free_list
     else take_fresh t 1
   in
   map_frame t idx;
@@ -112,10 +112,10 @@ let alloc_frame t =
 (* Find a run of [n] consecutive indices in the free list; on success
    remove them from the list and return the first index. *)
 let take_free_run t n =
-  let len = Beltway_util.Vec.length t.free_list in
+  let len = Beltway_util.Int_vec.length t.free_list in
   if len < n then None
   else begin
-    let sorted = Beltway_util.Vec.to_array t.free_list in
+    let sorted = Beltway_util.Int_vec.to_array t.free_list in
     Array.sort Int.compare sorted;
     let first = ref (-1) in
     let run_start = ref 0 in
@@ -137,13 +137,13 @@ let take_free_run t n =
          backing store. *)
       let w = ref 0 in
       for r = 0 to len - 1 do
-        let idx = Beltway_util.Vec.get t.free_list r in
+        let idx = Beltway_util.Int_vec.get t.free_list r in
         if idx < lo || idx > hi then begin
-          Beltway_util.Vec.set t.free_list !w idx;
+          Beltway_util.Int_vec.set t.free_list !w idx;
           incr w
         end
       done;
-      Beltway_util.Vec.truncate t.free_list !w;
+      Beltway_util.Int_vec.truncate t.free_list !w;
       Some lo
     end
   end
@@ -165,7 +165,7 @@ let free_frame t idx =
   if not (is_live t idx) then
     invalid_arg (Printf.sprintf "Memory.free_frame: frame %d not live" idx);
   set_live_bit t idx false;
-  Beltway_util.Vec.push t.free_list idx;
+  Beltway_util.Int_vec.push t.free_list idx;
   t.live <- t.live - 1
 
 (* Out-of-line failure paths keep the checking fast path small enough

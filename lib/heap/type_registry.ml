@@ -5,7 +5,7 @@ type t = {
   boot : Boot_space.t;
   by_name : (string, id) Hashtbl.t;
   names : string Beltway_util.Vec.t;
-  tibs : Value.t Beltway_util.Vec.t;
+  tibs : Beltway_util.Int_vec.t; (* type id -> its TIB, a [Value.t] *)
 }
 
 let create mem boot =
@@ -14,7 +14,7 @@ let create mem boot =
     boot;
     by_name = Hashtbl.create 32;
     names = Beltway_util.Vec.create ~dummy:"" ();
-    tibs = Beltway_util.Vec.create ~dummy:Value.null ();
+    tibs = Beltway_util.Int_vec.create ();
   }
 
 let register t ~name =
@@ -28,7 +28,7 @@ let register t ~name =
     Object_model.set_field t.mem addr 1 (Value.of_int (Hashtbl.hash name land 0xFFFFFF));
     Hashtbl.replace t.by_name name id;
     Beltway_util.Vec.push t.names name;
-    Beltway_util.Vec.push t.tibs (Value.of_addr addr);
+    Beltway_util.Int_vec.push t.tibs (Value.of_addr addr);
     id
 
 let check t id name =
@@ -37,7 +37,7 @@ let check t id name =
 
 let tib_value t id =
   check t id "tib_value";
-  Beltway_util.Vec.get t.tibs id
+  Beltway_util.Int_vec.get t.tibs id
 
 let name t id =
   check t id "name";

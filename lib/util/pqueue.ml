@@ -1,63 +1,102 @@
-type 'a t = { prios : int Vec.t; vals : 'a Vec.t }
+(* A binary min-heap in two parallel arrays: priorities in an [int
+   array], so comparisons and moves of priorities are plain word
+   operations, and values beside them. Sifts move a hole rather than
+   swapping pairs: the element being placed stays in registers and
+   each level costs one move instead of a swap. The comparisons are
+   exactly those of the swap-based heap (the placed element plays the
+   part of the swapped-down one), so both build the same arrays and
+   pop the same sequence, ties included. *)
+
+type 'a t = {
+  mutable prios : int array;
+  mutable vals : 'a array;
+  mutable len : int;
+  dummy : 'a;
+}
 
 let create ~dummy () =
-  { prios = Vec.create ~dummy:0 (); vals = Vec.create ~dummy () }
+  { prios = Array.make 8 0; vals = Array.make 8 dummy; len = 0; dummy }
 
-let length t = Vec.length t.prios
-let is_empty t = Vec.is_empty t.prios
+let length t = t.len
+let is_empty t = t.len = 0
 
-let swap t i j =
-  let pi = Vec.get t.prios i and pj = Vec.get t.prios j in
-  Vec.set t.prios i pj;
-  Vec.set t.prios j pi;
-  let vi = Vec.get t.vals i and vj = Vec.get t.vals j in
-  Vec.set t.vals i vj;
-  Vec.set t.vals j vi
+let grow t =
+  let cap = Array.length t.prios in
+  let prios = Array.make (2 * cap) 0 and vals = Array.make (2 * cap) t.dummy in
+  Array.blit t.prios 0 prios 0 t.len;
+  Array.blit t.vals 0 vals 0 t.len;
+  t.prios <- prios;
+  t.vals <- vals
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if Vec.get t.prios i < Vec.get t.prios parent then begin
-      swap t i parent;
-      sift_up t parent
+(* Place [(p, v)] at or above hole [i]: parents with a larger priority
+   move down into the hole. *)
+let sift_up t i p v =
+  let prios = t.prios and vals = t.vals in
+  let i = ref i in
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let pp = Array.unsafe_get prios parent in
+    if p < pp then begin
+      Array.unsafe_set prios !i pp;
+      Array.unsafe_set vals !i (Array.unsafe_get vals parent);
+      i := parent
     end
-  end
+    else continue := false
+  done;
+  Array.unsafe_set prios !i p;
+  Array.unsafe_set vals !i v
 
-let rec sift_down t i =
-  let n = length t in
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < n && Vec.get t.prios l < Vec.get t.prios !smallest then smallest := l;
-  if r < n && Vec.get t.prios r < Vec.get t.prios !smallest then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
+(* Place [(p, v)] at or below hole [i] of a heap of [n] elements: the
+   smaller child (the left one on a tie, as in the swap-based heap)
+   moves up while it is smaller than [p]. *)
+let sift_down t n i p v =
+  let prios = t.prios and vals = t.vals in
+  let i = ref i in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    let r = l + 1 in
+    let s = ref !i and sp = ref p in
+    if l < n && Array.unsafe_get prios l < !sp then begin
+      s := l;
+      sp := Array.unsafe_get prios l
+    end;
+    if r < n && Array.unsafe_get prios r < !sp then begin
+      s := r;
+      sp := Array.unsafe_get prios r
+    end;
+    if !s <> !i then begin
+      Array.unsafe_set prios !i !sp;
+      Array.unsafe_set vals !i (Array.unsafe_get vals !s);
+      i := !s
+    end
+    else continue := false
+  done;
+  Array.unsafe_set prios !i p;
+  Array.unsafe_set vals !i v
 
 let add t ~prio v =
-  Vec.push t.prios prio;
-  Vec.push t.vals v;
-  sift_up t (length t - 1)
+  if t.len = Array.length t.prios then grow t;
+  let i = t.len in
+  t.len <- i + 1;
+  sift_up t i prio v
 
-let min_prio t = if is_empty t then None else Some (Vec.get t.prios 0)
+let min_prio t = if t.len = 0 then None else Some t.prios.(0)
 
-let pop_min t =
-  if is_empty t then None
-  else begin
-    let prio = Vec.get t.prios 0 and v = Vec.get t.vals 0 in
-    let last = length t - 1 in
-    swap t 0 last;
-    ignore (Vec.pop t.prios);
-    ignore (Vec.pop t.vals);
-    if last > 0 then sift_down t 0;
-    Some (prio, v)
-  end
+(* The root leaves; the last element is placed from the root's hole. *)
+let take_min t =
+  let prio = t.prios.(0) and v = t.vals.(0) in
+  let last = t.len - 1 in
+  t.len <- last;
+  let lp = t.prios.(last) and lv = t.vals.(last) in
+  t.vals.(last) <- t.dummy;
+  if last > 0 then sift_down t last 0 lp lv;
+  Some (prio, v)
 
-let pop_le t bound =
-  match min_prio t with
-  | Some p when p <= bound -> pop_min t
-  | _ -> None
+let pop_min t = if t.len = 0 then None else take_min t
+let pop_le t bound = if t.len > 0 && t.prios.(0) <= bound then take_min t else None
 
 let clear t =
-  Vec.clear t.prios;
-  Vec.clear t.vals
+  Array.fill t.vals 0 t.len t.dummy;
+  t.len <- 0

@@ -1,7 +1,14 @@
 (** Binary min-heap priority queue with integer priorities.
 
     Used by the workload generators to schedule object deaths on the
-    allocation clock (priority = death time in bytes allocated). *)
+    allocation clock (priority = death time in bytes allocated).
+
+    Priorities live in an [int array] beside the values, and sifts move
+    a hole instead of swapping pairs. The comparisons are those of the
+    textbook swap-based heap (on a tie the left child is preferred and
+    no element moves past an equal one), so for any stream of [add],
+    [pop_min] and [pop_le] calls the pop sequence, ties included, is
+    the swap-based heap's. *)
 
 type 'a t
 

@@ -1,9 +1,13 @@
-(** Growable arrays.
+(** Growable arrays of boxed elements.
 
     OCaml 5.1 predates [Stdlib.Dynarray]; this is the small subset the
-    collector and workload generators need, tuned for the hot paths
-    (remembered-set buffers, root stacks): amortised O(1) push, O(1)
-    random access, O(1) clear that keeps the backing store. *)
+    collector and workload generators need: amortised O(1) push, O(1)
+    random access, a clear that keeps the backing store. Every store
+    into the polymorphic backing array pays the runtime's write barrier
+    ([caml_modify]), immediates included, and [clear] overwrites the
+    used prefix with [dummy] so no dead element is retained. Vectors of
+    [int] on a hot path use {!Int_vec} instead, which has the same
+    interface over an [int array] and stores without the barrier. *)
 
 type 'a t
 

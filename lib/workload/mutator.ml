@@ -1,5 +1,5 @@
 module Prng = Beltway_util.Prng
-module Vec = Beltway_util.Vec
+module Int_vec = Beltway_util.Int_vec
 module Pqueue = Beltway_util.Pqueue
 
 type handle = { slot : Roots.global; mutable live : bool }
@@ -7,7 +7,7 @@ type handle = { slot : Roots.global; mutable live : bool }
 type t = {
   gc : Beltway.Gc.t;
   prng : Prng.t;
-  free_slots : Roots.global Vec.t;
+  free_slots : Int_vec.t; (* dropped handles' global slots, for reuse *)
   deaths : handle Pqueue.t;
   dummy_global : Roots.global;
   mutable site_of_ty : int array;
@@ -22,7 +22,7 @@ let create ?(seed = 0x5EED) gc =
   {
     gc;
     prng = Prng.create ~seed;
-    free_slots = Vec.create ~dummy:dummy_global ();
+    free_slots = Int_vec.create ();
     deaths = Pqueue.create ~dummy:{ slot = dummy_global; live = false } ();
     dummy_global;
     site_of_ty = Array.make 16 (-1);
@@ -55,9 +55,9 @@ let now t = Beltway.Gc.words_allocated t.gc
 
 let fresh_slot t v =
   let roots = Beltway.Gc.roots t.gc in
-  if Vec.is_empty t.free_slots then Roots.new_global roots v
+  if Int_vec.is_empty t.free_slots then Roots.new_global roots v
   else begin
-    let slot = Vec.pop t.free_slots in
+    let slot = Roots.global_of_int (Int_vec.pop t.free_slots) in
     Roots.set_global roots slot v;
     slot
   end
@@ -76,11 +76,11 @@ let drop t h =
   if h.live then begin
     h.live <- false;
     Roots.set_global (Beltway.Gc.roots t.gc) h.slot Value.null;
-    Vec.push t.free_slots h.slot
+    Int_vec.push t.free_slots (h.slot :> int)
   end
 
 let live_handles t =
-  Roots.global_count (Beltway.Gc.roots t.gc) - Vec.length t.free_slots - 1
+  Roots.global_count (Beltway.Gc.roots t.gc) - Int_vec.length t.free_slots - 1
 
 let alloc t ~ty ~nfields =
   stamp_site t ~ty;

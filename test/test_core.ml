@@ -307,6 +307,141 @@ let test_remset_mem_slot_lazy_index () =
   checkb "still no false positive" false
     (Remset.mem_slot r ~src_frame:1 ~tgt_frame:0 ~slot:13)
 
+let test_remset_frame_bound () =
+  let r = Remset.create ~max_frames:7 () in
+  Remset.insert r ~src_frame:7 ~tgt_frame:0 ~slot:1;
+  Alcotest.check_raises "target past the bound"
+    (Invalid_argument "Remset.insert: frame 1 or 8 outside [0, 7]") (fun () ->
+      Remset.insert r ~src_frame:1 ~tgt_frame:8 ~slot:2);
+  checki "rejected insert recorded nothing" 1 (Remset.total_entries r);
+  checki "no set created" 1 (Remset.sets r);
+  Remset.drop_frame r 8;
+  Remset.drop_frame r 7;
+  checki "drop within the bound" 0 (Remset.sets r)
+
+(* A reference model of [Remset]'s contract: one unrandomised
+   polymorphic table from [rsidx] to the slot list, plus the
+   since-dedup counters that decide when a set is compacted. The real
+   structure must visit the same slots in the same order, whatever its
+   per-frame index and lookup cache do. *)
+module Remset_model = struct
+  type t = {
+    slots : (int, int list) Hashtbl.t;
+    since : (int, int) Hashtbl.t;
+    threshold : int;
+  }
+
+  let create ~threshold =
+    { slots = Hashtbl.create ~random:false 64; since = Hashtbl.create ~random:false 64;
+      threshold }
+
+  let key ~src ~tgt = (src lsl 21) lor tgt
+  let src_of k = k lsr 21
+  let tgt_of k = k land ((1 lsl 21) - 1)
+
+  let dedup l =
+    let seen = Hashtbl.create 16 in
+    List.filter
+      (fun x ->
+        if Hashtbl.mem seen x then false
+        else begin
+          Hashtbl.replace seen x ();
+          true
+        end)
+      l
+
+  let insert t ~src ~tgt ~slot =
+    let k = key ~src ~tgt in
+    let l = (match Hashtbl.find_opt t.slots k with Some l -> l | None -> []) @ [ slot ] in
+    let since = 1 + Option.value ~default:0 (Hashtbl.find_opt t.since k) in
+    if List.length l > t.threshold && since > t.threshold / 2 then begin
+      Hashtbl.replace t.slots k (dedup l);
+      Hashtbl.replace t.since k 0
+    end
+    else begin
+      Hashtbl.replace t.slots k l;
+      Hashtbl.replace t.since k since
+    end
+
+  let drop_frame t f =
+    Hashtbl.fold (fun k _ acc -> if src_of k = f || tgt_of k = f then k :: acc else acc)
+      t.slots []
+    |> List.iter (fun k ->
+           Hashtbl.remove t.slots k;
+           Hashtbl.remove t.since k)
+
+  let iter_into t ~in_plan =
+    let acc = ref [] in
+    Hashtbl.iter
+      (fun k l ->
+        if in_plan (tgt_of k) && not (in_plan (src_of k)) then
+          acc := List.rev_append l !acc)
+      t.slots;
+    List.rev !acc
+
+  let total t = Hashtbl.fold (fun _ l acc -> acc + List.length l) t.slots 0
+
+  let entries_targeting t f =
+    Hashtbl.fold (fun k l acc -> if tgt_of k = f then acc + List.length l else acc)
+      t.slots 0
+
+  let mem_slot t ~src ~tgt ~slot =
+    match Hashtbl.find_opt t.slots (key ~src ~tgt) with
+    | Some l -> List.mem slot l
+    | None -> false
+end
+
+(* Frames 0..7 and slots 0..11, so streams revisit sets, create
+   self-sets, duplicate slots and reach the (small) dedup threshold;
+   op 4 drops a frame, op 5 compares a snapshot under a random plan. *)
+let remset_model_prop =
+  QCheck.Test.make
+    ~name:"Remset iter_into/sets/entries/mem_slot match a polymorphic-table model"
+    ~count:300
+    QCheck.(list (quad (int_bound 5) (int_bound 7) (int_bound 7) (int_bound 255)))
+    (fun ops ->
+      let threshold = 6 and frames = 7 in
+      let r = Remset.create ~dedup_threshold:threshold ~max_frames:frames () in
+      let m = Remset_model.create ~threshold in
+      let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
+      let snapshot mask =
+        let in_plan f = (mask lsr f) land 1 = 1 in
+        let got = ref [] in
+        Remset.iter_into r ~in_plan (fun ~slot -> got := slot :: !got);
+        let got = List.rev !got and want = Remset_model.iter_into m ~in_plan in
+        if got <> want then fail "iter_into under plan %#x differs" mask
+      in
+      List.iter
+        (fun (op, a, b, c) ->
+          (match op with
+          | 0 | 1 | 2 | 3 ->
+            Remset.insert r ~src_frame:a ~tgt_frame:b ~slot:(c mod 12);
+            Remset_model.insert m ~src:a ~tgt:b ~slot:(c mod 12)
+          | 4 ->
+            Remset.drop_frame r a;
+            Remset_model.drop_frame m a
+          | _ -> snapshot c);
+          if Remset.sets r <> Hashtbl.length m.Remset_model.slots then
+            fail "sets %d vs model %d" (Remset.sets r) (Hashtbl.length m.Remset_model.slots);
+          if Remset.total_entries r <> Remset_model.total m then
+            fail "total_entries %d vs model %d" (Remset.total_entries r)
+              (Remset_model.total m))
+        ops;
+      snapshot 0xFF;
+      snapshot 0x0F;
+      for f = 0 to frames do
+        if Remset.entries_targeting r f <> Remset_model.entries_targeting m f then
+          fail "entries_targeting %d differs" f;
+        for g = 0 to frames do
+          for slot = 0 to 11 do
+            if Remset.mem_slot r ~src_frame:f ~tgt_frame:g ~slot
+               <> Remset_model.mem_slot m ~src:f ~tgt:g ~slot
+            then fail "mem_slot %d->%d %d differs" f g slot
+          done
+        done
+      done;
+      true)
+
 (* ---- Frame_info ---- *)
 
 let test_frame_info () =
@@ -416,6 +551,82 @@ let test_reserve_small_when_increments_small () =
   checkb "reserve well below half" true
     (Gc.reserve_frames gc < Gc.heap_frames gc / 3)
 
+(* The copy reserve as the list-based formula computed it: top-two
+   incoming occupancies per destination belt over [State.live_increments],
+   then each unpinned increment's potential. [Copy_reserve.dynamic_frames]
+   walks the belts directly and must agree with it exactly. *)
+let reference_dynamic_frames st =
+  let floor_frames =
+    Array.fold_left
+      (fun acc bound -> match bound with Some b -> max acc b | None -> acc)
+      0 st.State.belt_bounds
+  in
+  let nbelts = Array.length st.State.belts in
+  let in_best = Array.make nbelts (0, -1) in
+  let in_second = Array.make nbelts 0 in
+  List.iter
+    (fun (inc : Increment.t) ->
+      if not inc.Increment.pinned then begin
+        let d = State.dest_belt st inc.Increment.belt in
+        let occ = Increment.occupancy_frames inc in
+        let best_occ, _ = in_best.(d) in
+        if occ > best_occ then begin
+          in_second.(d) <- best_occ;
+          in_best.(d) <- (occ, inc.Increment.id)
+        end
+        else if occ > in_second.(d) then in_second.(d) <- occ
+      end)
+    (State.live_increments st);
+  let incoming belt ~excluding =
+    let best_occ, best_id = in_best.(belt) in
+    if best_id = excluding then in_second.(belt) else best_occ
+  in
+  let potential =
+    List.fold_left
+      (fun acc (inc : Increment.t) ->
+        if inc.Increment.pinned then acc
+        else begin
+          let occ = Increment.occupancy_frames inc in
+          let p =
+            match Belt.back st.State.belts.(inc.Increment.belt) with
+            | Some back when back.Increment.id = inc.Increment.id ->
+              occ + incoming inc.Increment.belt ~excluding:inc.Increment.id
+            | _ -> occ
+          in
+          max acc p
+        end)
+      0 (State.live_increments st)
+  in
+  max floor_frames potential + Beltway.Copy_reserve.pad st
+
+let test_dynamic_reserve_matches_reference () =
+  List.iter
+    (fun (bench : Beltway_workload.Spec.t) ->
+      List.iter
+        (fun cfg ->
+          let config = Result.get_ok (Config.parse cfg) in
+          let gc = Gc.create ~config ~heap_bytes:(1024 * 1024) () in
+          let st = Gc.state gc in
+          let checked = ref 0 in
+          State.add_hooks st
+            {
+              State.noop_hooks with
+              on_collect_end =
+                (fun ~full_heap:_ ->
+                  incr checked;
+                  let want = reference_dynamic_frames st in
+                  let got = Beltway.Copy_reserve.dynamic_frames st in
+                  if got <> want then
+                    Alcotest.failf "%s %s collection %d: dynamic_frames %d, reference %d"
+                      bench.Beltway_workload.Spec.name cfg !checked got want);
+            };
+          bench.Beltway_workload.Spec.run gc;
+          checkb
+            (Printf.sprintf "%s %s collected" bench.Beltway_workload.Spec.name cfg)
+            true (!checked > 0))
+        [ "25.25.100"; "33.33.100"; "10.10.100" ])
+    [ Beltway_workload.Spec.jess; Beltway_workload.Spec.javac ]
+
 let suite =
   [
     ("increment bump", `Quick, test_increment_bump);
@@ -430,6 +641,8 @@ let suite =
     ("remset drop frame", `Quick, test_remset_drop_frame);
     ("remset dedup", `Quick, test_remset_dedup);
     ("remset mem_slot lazy index", `Quick, test_remset_mem_slot_lazy_index);
+    Prop.to_alcotest remset_model_prop;
+    ("remset frame bound", `Quick, test_remset_frame_bound);
     ("frame info", `Quick, test_frame_info);
     ("barrier unidirectional", `Quick, test_barrier_unidirectional);
     ("barrier counters/boot", `Quick, test_barrier_counters_and_boot_target);
@@ -439,4 +652,6 @@ let suite =
     ("reserve: semi-space", `Quick, test_reserve_semi_space_half);
     ("reserve: half mode", `Quick, test_reserve_half_mode);
     ("reserve: small increments", `Quick, test_reserve_small_when_increments_small);
+    ("reserve: dynamic == list formula per collection", `Slow,
+      test_dynamic_reserve_matches_reference);
   ]

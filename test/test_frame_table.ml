@@ -124,7 +124,7 @@ let check_table_describes_heap cs gc =
       Alcotest.(check bool)
         (Printf.sprintf "%s: inc %d not left marked" cs inc.Increment.id)
         false inc.Increment.gc_mark;
-      Beltway_util.Vec.iter
+      Beltway_util.Int_vec.iter
         (fun frame ->
           checki
             (Printf.sprintf "%s: frame %d owner" cs frame)

@@ -3,6 +3,7 @@
 
 module Prng = Beltway_util.Prng
 module Vec = Beltway_util.Vec
+module Int_vec = Beltway_util.Int_vec
 module Pqueue = Beltway_util.Pqueue
 module SM = Beltway_util.Stats_math
 module Table = Beltway_util.Table
@@ -159,6 +160,107 @@ let vec_model_prop =
         ops;
       Vec.to_list v = !model)
 
+(* ---- Int_vec ---- *)
+
+let int_vec_of_list l =
+  let v = Int_vec.create ~capacity:1 () in
+  List.iter (Int_vec.push v) l;
+  v
+
+let test_int_vec_basic () =
+  let v = Int_vec.create ~capacity:1 () in
+  checkb "fresh empty" true (Int_vec.is_empty v);
+  for i = 0 to 99 do
+    Int_vec.push v i
+  done;
+  checki "length after growth" 100 (Int_vec.length v);
+  checki "get 57" 57 (Int_vec.get v 57);
+  Int_vec.set v 57 1000;
+  checki "set visible" 1000 (Int_vec.get v 57);
+  checki "top" 99 (Int_vec.top v);
+  checki "pop" 99 (Int_vec.pop v);
+  checki "length after pop" 99 (Int_vec.length v);
+  check Alcotest.(list int) "growth kept order" (List.init 57 Fun.id)
+    (List.filteri (fun i _ -> i < 57) (Int_vec.to_list v))
+
+let test_int_vec_bounds () =
+  let v = int_vec_of_list [ 1; 2; 3 ] in
+  Alcotest.check_raises "get oob"
+    (Invalid_argument "Int_vec.get: index 3 out of bounds [0,3)") (fun () ->
+      ignore (Int_vec.get v 3));
+  Alcotest.check_raises "get negative"
+    (Invalid_argument "Int_vec.get: index -1 out of bounds [0,3)") (fun () ->
+      ignore (Int_vec.get v (-1)));
+  Alcotest.check_raises "set oob"
+    (Invalid_argument "Int_vec.set: index 3 out of bounds [0,3)") (fun () ->
+      Int_vec.set v 3 0);
+  Alcotest.check_raises "swap_remove oob"
+    (Invalid_argument "Int_vec.swap_remove: index 5 out of bounds [0,3)")
+    (fun () -> ignore (Int_vec.swap_remove v 5));
+  let e = Int_vec.create () in
+  Alcotest.check_raises "pop empty" (Invalid_argument "Int_vec.pop: empty")
+    (fun () -> ignore (Int_vec.pop e));
+  Alcotest.check_raises "top empty" (Invalid_argument "Int_vec.top: empty")
+    (fun () -> ignore (Int_vec.top e));
+  (* A slot past the length stays out of reach after a pop. *)
+  ignore (Int_vec.pop v);
+  Alcotest.check_raises "get past popped length"
+    (Invalid_argument "Int_vec.get: index 2 out of bounds [0,2)") (fun () ->
+      ignore (Int_vec.get v 2))
+
+let test_int_vec_clear_truncate () =
+  let v = int_vec_of_list [ 1; 2; 3; 4; 5 ] in
+  Int_vec.truncate v 2;
+  check Alcotest.(list int) "truncate" [ 1; 2 ] (Int_vec.to_list v);
+  Int_vec.truncate v 10;
+  checki "truncate longer is no-op" 2 (Int_vec.length v);
+  Alcotest.check_raises "truncate negative"
+    (Invalid_argument "Int_vec.truncate: negative length") (fun () ->
+      Int_vec.truncate v (-1));
+  Int_vec.clear v;
+  checkb "clear" true (Int_vec.is_empty v);
+  Int_vec.push v 7;
+  check Alcotest.(list int) "reusable after clear" [ 7 ] (Int_vec.to_list v)
+
+let test_int_vec_swap_remove () =
+  let v = int_vec_of_list [ 10; 20; 30; 40 ] in
+  checki "removed" 20 (Int_vec.swap_remove v 1);
+  check Alcotest.(list int) "last moved in" [ 10; 40; 30 ] (Int_vec.to_list v);
+  checki "remove last" 30 (Int_vec.swap_remove v 2);
+  checki "len" 2 (Int_vec.length v)
+
+let test_int_vec_iterators () =
+  let v = int_vec_of_list [ 1; 2; 3 ] in
+  checki "fold sum" 6 (Int_vec.fold ( + ) 0 v);
+  let seen = ref [] in
+  Int_vec.iter (fun x -> seen := x :: !seen) v;
+  check Alcotest.(list int) "iter order" [ 1; 2; 3 ] (List.rev !seen);
+  check Alcotest.(array int) "to_array" [| 1; 2; 3 |] (Int_vec.to_array v)
+
+let int_vec_model_prop =
+  QCheck.Test.make ~name:"Int_vec behaves like Vec under push/pop/set/truncate"
+    ~count:200
+    QCheck.(list (pair (int_bound 3) small_nat))
+    (fun ops ->
+      let v = Int_vec.create ~capacity:1 () and r = Vec.create ~dummy:0 () in
+      List.iter
+        (fun (op, x) ->
+          match op with
+          | 0 | 1 ->
+            Int_vec.push v x;
+            Vec.push r x
+          | 2 when not (Vec.is_empty r) ->
+            let i = x mod Vec.length r in
+            Int_vec.set v i (x + 1);
+            Vec.set r i (x + 1)
+          | 3 when not (Vec.is_empty r) ->
+            assert (Int_vec.pop v = Vec.pop r)
+          | _ ->
+            Int_vec.truncate v (x mod 4);
+            Vec.truncate r (x mod 4))
+        ops;
+      Int_vec.to_list v = Vec.to_list r)
+
 (* ---- Pqueue ---- *)
 
 let test_pqueue_order () =
@@ -201,6 +303,88 @@ let pqueue_sort_prop =
         match Pqueue.pop_min q with Some (p, _) -> drain (p :: acc) | None -> List.rev acc
       in
       drain [] = List.sort compare l)
+
+(* The swap-based binary heap [Pqueue] used before its priorities moved
+   to an int array, kept as the reference for its pop order: the same
+   comparisons in the same places, so equal priorities must come out in
+   the same order. *)
+module Swap_heap = struct
+  type 'a t = { mutable a : (int * 'a) array; mutable n : int }
+
+  let create () = { a = [||]; n = 0 }
+
+  let swap t i j =
+    let x = t.a.(i) in
+    t.a.(i) <- t.a.(j);
+    t.a.(j) <- x
+
+  let rec sift_up t i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if fst t.a.(i) < fst t.a.(parent) then begin
+        swap t i parent;
+        sift_up t parent
+      end
+    end
+
+  let rec sift_down t i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < t.n && fst t.a.(l) < fst t.a.(!smallest) then smallest := l;
+    if r < t.n && fst t.a.(r) < fst t.a.(!smallest) then smallest := r;
+    if !smallest <> i then begin
+      swap t i !smallest;
+      sift_down t !smallest
+    end
+
+  let add t ~prio v =
+    if t.n = Array.length t.a then
+      t.a <- Array.append t.a (Array.make (max 1 t.n) (prio, v));
+    t.a.(t.n) <- (prio, v);
+    t.n <- t.n + 1;
+    sift_up t (t.n - 1)
+
+  let pop_min t =
+    if t.n = 0 then None
+    else begin
+      let top = t.a.(0) in
+      swap t 0 (t.n - 1);
+      t.n <- t.n - 1;
+      if t.n > 0 then sift_down t 0;
+      Some top
+    end
+
+  let pop_le t bound = if t.n > 0 && fst t.a.(0) <= bound then pop_min t else None
+end
+
+(* Random interleavings of add, pop_min and pop_le over a handful of
+   priorities, so most adds tie with queued elements. Values are
+   sequence numbers: two runs agree only if ties pop identically. *)
+let pqueue_reference_prop =
+  QCheck.Test.make ~name:"Pqueue pops the swap-based heap's sequence, ties included"
+    ~count:300
+    QCheck.(list (pair (int_bound 4) (int_bound 5)))
+    (fun ops ->
+      let q = Pqueue.create ~dummy:(-1) () and r = Swap_heap.create () in
+      let seq = ref 0 in
+      List.for_all
+        (fun (op, p) ->
+          match op with
+          | 0 | 1 | 2 ->
+            Pqueue.add q ~prio:p !seq;
+            Swap_heap.add r ~prio:p !seq;
+            incr seq;
+            Pqueue.length q = r.Swap_heap.n
+          | 3 -> Pqueue.pop_min q = Swap_heap.pop_min r
+          | _ -> Pqueue.pop_le q p = Swap_heap.pop_le r p)
+        ops
+      &&
+      let rec drain () =
+        match (Pqueue.pop_min q, Swap_heap.pop_min r) with
+        | None, None -> true
+        | a, b -> a = b && drain ()
+      in
+      drain ())
 
 (* ---- Stats_math ---- *)
 
@@ -423,10 +607,17 @@ let suite =
     ("vec swap_remove", `Quick, test_vec_swap_remove);
     ("vec iterators", `Quick, test_vec_iterators);
     Prop.to_alcotest vec_model_prop;
+    ("int_vec basic", `Quick, test_int_vec_basic);
+    ("int_vec bounds", `Quick, test_int_vec_bounds);
+    ("int_vec clear/truncate", `Quick, test_int_vec_clear_truncate);
+    ("int_vec swap_remove", `Quick, test_int_vec_swap_remove);
+    ("int_vec iterators", `Quick, test_int_vec_iterators);
+    Prop.to_alcotest int_vec_model_prop;
     ("pqueue order", `Quick, test_pqueue_order);
     ("pqueue pop_le", `Quick, test_pqueue_pop_le);
     ("pqueue min/clear", `Quick, test_pqueue_min_prio_clear);
     Prop.to_alcotest pqueue_sort_prop;
+    Prop.to_alcotest pqueue_reference_prop;
     ("stats mean/geomean", `Quick, test_stats_mean_geomean);
     ("stats normalize", `Quick, test_stats_normalize);
     ("stats percentile", `Quick, test_stats_percentile);
