@@ -68,10 +68,11 @@ let op_fail = 44 (* A = string-pool index of the runtime error *)
 (* Fused superinstructions. Each replaces a sequence that contains no
    allocation point, so fusing cannot change the operand stack at any
    allocation — GC behaviour (and stats) are identical to the unfused
-   encoding by construction. *)
+   encoding by construction. An opcode is kept only while compiling
+   without it costs some bundled program at least 1% more dispatches
+   (DESIGN.md §3e). *)
 let op_jcmp_false = 45 (* A = target pc, C = compare kind; pops both operands *)
-let op_set_local_void = 46 (* A = frame offset, B = slot, C = hops; pushes nothing *)
-let op_arith_imm = 47 (* B = immediate operand, C = arith kind *)
+let op_arith_imm = 46 (* B = immediate operand, C = arith kind *)
 
 (* Multi-word superinstructions: the opcode word is followed by one or
    two operand words ([insn_len] gives the total). A local-variable
@@ -79,30 +80,22 @@ let op_arith_imm = 47 (* B = immediate operand, C = arith kind *)
    the A/B/C fields of an opcode-less word; an immediate operand word
    is the raw (untagged) integer. Jump patching still targets the
    opcode word's A field. *)
-let op_jcmp_imm = 48 (* 2w: A = target, C = kind; w1 = immediate. Pops one. *)
-let op_jcmp_ll = 49 (* 3w: A = target, C = kind; w1, w2 = local triples *)
-let op_jtest = 50 (* 1w: A = target, C = test kind. Pops one. *)
-let op_jtest_l = 51 (* 2w: A = target, C = test kind; w1 = local triple *)
-let op_upd_local = 52 (* 3w: B = imm, C = arith kind; w1 = src, w2 = dst triple *)
-let op_move_local = 53 (* 2w: dst triple inline; w1 = src triple *)
-let op_local_arith = 54 (* 2w: B = imm, C = arith kind; w1 = src triple *)
-let op_local2 = 55 (* 2w: first triple inline; w1 = second triple *)
-let op_local_car = 56 (* 1w: local triple *)
-let op_local_cdr = 57 (* 1w: local triple *)
-let op_set_car_void = 58 (* set-car! in statement position: pushes nothing *)
-let op_set_cdr_void = 59
-let op_vec_set_void = 60
-let op_print_void = 61
-let op_jcmp_li = 62 (* 3w: A = target, C = kind; w1 = local triple, w2 = imm *)
-let op_jcmp_gg = 63 (* 2w: A = target, C = kind; w1 = A:global1 B:global2 *)
-let op_jcmp_gi = 64 (* 2w: A = target, B = global, C = kind; w1 = imm *)
-let op_upd_global = 65 (* 1w: A = global, B = imm, C = arith kind *)
-let op_global_arith = 66 (* 1w: A = global, B = imm, C = arith kind *)
-let op_cmp_imm = 67 (* 2w: C = kind; w1 = imm. Pops one, pushes the bool. *)
-let op_test = 68 (* 1w: C = test kind. Pops one, pushes the bool. *)
-let op_jeq = 69 (* 1w: A = target, C bit 3 negates. Pops two (eq?). *)
+let op_jcmp_ll = 47 (* 3w: A = target, C = kind; w1, w2 = local triples *)
+let op_jtest_l = 48 (* 2w: A = target, C = test kind; w1 = local triple *)
+let op_upd_local = 49 (* 3w: B = imm, C = arith kind; w1 = src, w2 = dst triple *)
+let op_local_arith = 50 (* 2w: B = imm, C = arith kind; w1 = src triple *)
+let op_local2 = 51 (* 2w: first triple inline; w1 = second triple *)
+let op_local_car = 52 (* 1w: local triple *)
+let op_local_cdr = 53 (* 1w: local triple *)
+let op_vec_set_void = 54 (* vector-set! in statement position: pushes nothing *)
+let op_jcmp_li = 55 (* 3w: A = target, C = kind; w1 = local triple, w2 = imm *)
+let op_jcmp_gg = 56 (* 2w: A = target, C = kind; w1 = A:global1 B:global2 *)
+let op_upd_global = 57 (* 1w: A = global, B = imm, C = arith kind *)
+let op_global_arith = 58 (* 1w: A = global, B = imm, C = arith kind *)
+let op_cmp_imm = 59 (* 2w: C = kind; w1 = imm. Pops one, pushes the bool. *)
+let op_jeq = 60 (* 1w: A = target, C bit 3 negates. Pops two (eq?). *)
 
-let op_count = 70
+let op_count = 61
 
 (* Kind tables for the fused opcodes: index = operand C (low 3 bits;
    bit 3 negates a branch condition, absorbing a wrapping [not]). The
@@ -146,9 +139,8 @@ let with_a insn target = insn land lnot (0xffffff lsl 8) lor (target lsl 8)
 let insn_len insn =
   let opc = insn land 0xff in
   if
-    opc = op_jcmp_imm || opc = op_jtest_l || opc = op_move_local
-    || opc = op_local_arith || opc = op_local2 || opc = op_jcmp_gg
-    || opc = op_jcmp_gi || opc = op_cmp_imm
+    opc = op_jtest_l || opc = op_local_arith || opc = op_local2
+    || opc = op_jcmp_gg || opc = op_cmp_imm
   then 2
   else if opc = op_jcmp_ll || opc = op_upd_local || opc = op_jcmp_li then 3
   else 1
@@ -214,30 +206,21 @@ let op_name = function
   | 43 -> "print"
   | 44 -> "fail"
   | 45 -> "jcmp-false"
-  | 46 -> "set-local!"
-  | 47 -> "arith-imm"
-  | 48 -> "jcmp-imm"
-  | 49 -> "jcmp-ll"
-  | 50 -> "jtest"
-  | 51 -> "jtest-l"
-  | 52 -> "upd-local"
-  | 53 -> "move-local"
-  | 54 -> "local-arith"
-  | 55 -> "local2"
-  | 56 -> "local-car"
-  | 57 -> "local-cdr"
-  | 58 -> "set-car!v"
-  | 59 -> "set-cdr!v"
-  | 60 -> "vector-set!v"
-  | 61 -> "print-v"
-  | 62 -> "jcmp-li"
-  | 63 -> "jcmp-gg"
-  | 64 -> "jcmp-gi"
-  | 65 -> "upd-global"
-  | 66 -> "global-arith"
-  | 67 -> "cmp-imm"
-  | 68 -> "test"
-  | 69 -> "jeq"
+  | 46 -> "arith-imm"
+  | 47 -> "jcmp-ll"
+  | 48 -> "jtest-l"
+  | 49 -> "upd-local"
+  | 50 -> "local-arith"
+  | 51 -> "local2"
+  | 52 -> "local-car"
+  | 53 -> "local-cdr"
+  | 54 -> "vector-set!v"
+  | 55 -> "jcmp-li"
+  | 56 -> "jcmp-gg"
+  | 57 -> "upd-global"
+  | 58 -> "global-arith"
+  | 59 -> "cmp-imm"
+  | 60 -> "jeq"
   | n -> Printf.sprintf "op%d" n
 
 let pp_triple fmt w =
@@ -253,11 +236,7 @@ let pp_kc fmt kc names =
 let pp_insn p code pc fmt insn =
   let opc = op insn in
   let name = op_name opc in
-  if opc = op_jcmp_imm then
-    Format.fprintf fmt "%-14s %a %d -> %d" name
-      (fun fmt kc -> pp_kc fmt kc cmp_name)
-      (c insn) code.(pc + 1) (a insn)
-  else if opc = op_jcmp_ll then
+  if opc = op_jcmp_ll then
     Format.fprintf fmt "%-14s %a (%a) (%a) -> %d" name
       (fun fmt kc -> pp_kc fmt kc cmp_name)
       (c insn) pp_triple
@@ -265,10 +244,6 @@ let pp_insn p code pc fmt insn =
       pp_triple
       code.(pc + 2)
       (a insn)
-  else if opc = op_jtest then
-    Format.fprintf fmt "%-14s %a -> %d" name
-      (fun fmt kc -> pp_kc fmt kc test_name)
-      (c insn) (a insn)
   else if opc = op_jtest_l then
     Format.fprintf fmt "%-14s %a (%a) -> %d" name
       (fun fmt kc -> pp_kc fmt kc test_name)
@@ -282,9 +257,6 @@ let pp_insn p code pc fmt insn =
       code.(pc + 1)
       arith_name.(c insn land 7)
       (b insn)
-  else if opc = op_move_local then
-    Format.fprintf fmt "%-14s (%a) <- (%a)" name pp_triple insn pp_triple
-      code.(pc + 1)
   else if opc = op_local_arith then
     Format.fprintf fmt "%-14s (%a) %s %d" name pp_triple
       code.(pc + 1)
@@ -309,13 +281,6 @@ let pp_insn p code pc fmt insn =
       p.globals.(a code.(pc + 1))
       p.globals.(b code.(pc + 1))
       (a insn)
-  else if opc = op_jcmp_gi then
-    Format.fprintf fmt "%-14s %a (%s) %d -> %d" name
-      (fun fmt kc -> pp_kc fmt kc cmp_name)
-      (c insn)
-      p.globals.(b insn)
-      code.(pc + 1)
-      (a insn)
   else if opc = op_upd_global || opc = op_global_arith then
     Format.fprintf fmt "%-14s (%s) %s %d" name
       p.globals.(a insn)
@@ -325,10 +290,6 @@ let pp_insn p code pc fmt insn =
     Format.fprintf fmt "%-14s %a %d" name
       (fun fmt kc -> pp_kc fmt kc cmp_name)
       (c insn) code.(pc + 1)
-  else if opc = op_test then
-    Format.fprintf fmt "%-14s %a" name
-      (fun fmt kc -> pp_kc fmt kc test_name)
-      (c insn)
   else if opc = op_jeq then
     Format.fprintf fmt "%-14s %s-> %d" name
       (if c insn land negate_bit <> 0 then "not " else "")
@@ -350,7 +311,7 @@ let pp_insn p code pc fmt insn =
       (c insn) (a insn)
   else if opc = op_arith_imm then
     Format.fprintf fmt "%-14s %s %d" name arith_name.(c insn) (b insn)
-  else if opc = op_local || opc = op_set_local || opc = op_set_local_void then
+  else if opc = op_local || opc = op_set_local then
     Format.fprintf fmt "%-14s frame@%d slot %d hops %d" name (a insn) (b insn)
       (c insn)
   else if opc = op_enter_env then

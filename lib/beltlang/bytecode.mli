@@ -58,18 +58,18 @@ val op_print : int
 val op_fail : int
 
 (** Fused superinstructions: each replaces an allocation-free opcode
-    sequence (compare + conditional jump; set! in statement position;
-    binary arith with a literal operand), so fusion cannot change the
-    operand stack at any allocation point — GC stats are identical to
-    the unfused encoding by construction. *)
+    sequence (compare + conditional jump; arith with a literal
+    operand; local reads and updates; statement-position
+    [vector-set!]), so fusion cannot change the operand stack at any
+    allocation point — GC stats are identical to the unfused encoding
+    by construction. Each is kept because compiling without it costs
+    at least one bundled program 1% or more extra dispatches
+    (DESIGN.md §3e); the unfused forms cover every other shape. *)
 
 val op_jcmp_false : int
 (** A = target pc, C = compare kind (index into {!cmp_name}, bit 3
     negates); pops both operands, branches when the compare is
     false. *)
-
-val op_set_local_void : int
-(** [set_local] that pushes nothing: statement-position [set!]. *)
 
 val op_arith_imm : int
 (** B = immediate operand, C = arith kind (index into {!arith_name});
@@ -80,28 +80,18 @@ val op_arith_imm : int
     opcode-less word's A/B/C fields, or a raw untagged immediate. All
     fuse allocation-free sequences only. *)
 
-val op_jcmp_imm : int
-(** 2 words: A = target, C = compare kind (bit 3 negates); w1 = raw
-    immediate. Pops one operand. *)
-
 val op_jcmp_ll : int
 (** 3 words: A = target, C = compare kind (bit 3 negates); w1, w2 =
     local triples. Pops nothing. *)
 
-val op_jtest : int
-(** 1 word: A = target, C = test kind (index into {!test_name}, bit 3
-    negates). Pops the tested value; branches when the test fails. *)
-
 val op_jtest_l : int
-(** 2 words: as {!op_jtest} but testing a local (w1 = triple). *)
+(** 2 words: A = target, C = test kind (index into {!test_name}, bit 3
+    negates); w1 = local triple. Branches when the test on the local
+    fails. Pops nothing. *)
 
 val op_upd_local : int
 (** 3 words: B = immediate, C = arith kind; w1 = source triple, w2 =
     destination triple. Statement-position [(set! x (op y k))]. *)
-
-val op_move_local : int
-(** 2 words: destination triple inline; w1 = source triple.
-    Statement-position [(set! x y)]. *)
 
 val op_local_arith : int
 (** 2 words: B = immediate, C = arith kind; w1 = source triple.
@@ -114,12 +104,9 @@ val op_local_car : int
 val op_local_cdr : int
 (** 1 word: local triple inline. Push [(car x)] / [(cdr x)]. *)
 
-val op_set_car_void : int
-val op_set_cdr_void : int
 val op_vec_set_void : int
-val op_print_void : int
-(** Statement-position variants that skip the push-null-then-pop of
-    their expression forms. *)
+(** Statement-position [vector-set!]: skips the push-null-then-pop of
+    the expression form. *)
 
 val op_jcmp_li : int
 (** 3 words: A = target, C = compare kind; w1 = local triple, w2 =
@@ -128,10 +115,6 @@ val op_jcmp_li : int
 val op_jcmp_gg : int
 (** 2 words: A = target, C = compare kind; w1 packs the two global
     indices in its A and B fields. Pops nothing. *)
-
-val op_jcmp_gi : int
-(** 2 words: A = target, B = global index, C = compare kind; w1 =
-    raw immediate. Pops nothing. *)
 
 val op_upd_global : int
 (** 1 word: A = global, B = immediate, C = arith kind.
@@ -145,22 +128,19 @@ val op_cmp_imm : int
 (** 2 words: C = compare kind (bit 3 negates); w1 = raw immediate.
     Pops the operand and pushes the boolean. *)
 
-val op_test : int
-(** 1 word: C = test kind (bit 3 negates). Pops the operand and
-    pushes the boolean. *)
-
 val op_jeq : int
 (** 1 word: A = target, C bit 3 negates. Pops two operands, branches
     when they are not physically equal ([eq?] false, xor negate). *)
 
 val op_count : int
+(** Opcodes are numbered densely from 0 to [op_count - 1]. *)
 
 val insn_len : int -> int
 (** [insn_len insn] is the total word count of the instruction whose
     opcode word is [insn] (1 for classic opcodes). *)
 
 val test_name : string array
-(** Test-kind names for {!op_jtest} ([null?] [pair?]). *)
+(** Test-kind names for {!op_jtest_l} ([null?] [pair?]). *)
 
 val negate_bit : int
 (** Bit in operand C that negates a fused branch condition (absorbs a

@@ -341,11 +341,11 @@ and compile_arith_imm ctx fctx e =
   | _ -> assert false
 
 (* Boolean-producing expression with a fusable shape: a top-level
-   [not] is absorbed into the negate bit; compare-with-literal and
-   null?/pair? tests become one dispatch that pushes the boolean
-   directly. A second [not] cannot cancel the first in value context —
-   [(not (not 41))] is the boolean true, not [41] — so it is
-   materialised. *)
+   [not] is absorbed into the negate bit, and compare-with-literal
+   becomes one dispatch that pushes the boolean directly. Any other
+   negated operand is materialised with [not]; so is a second [not],
+   which cannot cancel the first in value context — [(not (not 41))]
+   is the boolean true, not [41]. *)
 and compile_bool ctx fctx ~negate (e : Ast.expr) =
   let neg = if negate then B.negate_bit else 0 in
   match e with
@@ -359,10 +359,6 @@ and compile_bool ctx fctx ~negate (e : Ast.expr) =
     compile_expr ctx fctx x;
     emit ctx (B.make B.op_cmp_imm ~c:(cmp_kind p lor neg));
     emit ctx k
-  | Ast.Prim (((Ast.Is_null | Ast.Is_pair) as p), [ x ]) ->
-    compile_expr ctx fctx x;
-    emit ctx
-      (B.make B.op_test ~c:((match p with Ast.Is_null -> 0 | _ -> 1) lor neg))
   | e ->
     compile_expr ctx fctx e;
     if negate then emit ctx (B.make B.op_not)
@@ -419,12 +415,12 @@ and compile_prim ctx fctx p args =
 (* Compile [c] and emit a forward branch taken when it is falsy (or
    truthy, under [negate] — a wrapping [not] is absorbed by flipping
    the flag rather than materialising a boolean). Returns the jump
-   index for [patch]. Top-level integer compares and null?/pair? tests
-   fuse into single-dispatch branch forms, with local operands read
-   inline. Every fused span is allocation-free, so the operand stack
-   at each allocation point — and hence GC stats — match the unfused
-   encoding; type checks keep the unfused operand order and error
-   strings. *)
+   index for [patch]. Top-level integer compares fuse into
+   single-dispatch branch forms, as do null?/pair? tests of a local;
+   local and global operands are read inline. Every fused span is
+   allocation-free, so the operand stack at each allocation point —
+   and hence GC stats — match the unfused encoding; type checks keep
+   the unfused operand order and error strings. *)
 and compile_branch_unless ?(negate = false) ctx fctx (c : Ast.expr) =
   let neg = if negate then B.negate_bit else 0 in
   match c with
@@ -459,22 +455,6 @@ and compile_branch_unless ?(negate = false) ctx fctx (c : Ast.expr) =
     emit ctx (B.make B.op_jcmp_gg ~c:(cmp_kind p lor neg));
     emit ctx (B.make 0 ~a:g1 ~b:g2);
     at
-  | Ast.Prim
-      ( ((Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq_num) as p),
-        [ Ast.Global g; Ast.Int k ] )
-    when g < B.max_b ->
-    let at = here ctx in
-    emit ctx (B.make B.op_jcmp_gi ~b:g ~c:(cmp_kind p lor neg));
-    emit ctx k;
-    at
-  | Ast.Prim (((Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq_num) as p), [ x; Ast.Int k ])
-    ->
-    compile_expr ctx fctx x;
-    let at = here ctx in
-    emit ctx (B.make B.op_jcmp_imm ~c:(cmp_kind p lor neg));
-    emit ctx k;
-    fctx.sp <- fctx.sp - 1;
-    at
   | Ast.Prim (Ast.Eq_phys, [ x; y ]) ->
     compile_args ctx fctx [ x; y ];
     let at = here ctx in
@@ -489,21 +469,14 @@ and compile_branch_unless ?(negate = false) ctx fctx (c : Ast.expr) =
     emit ctx (B.make B.op_jcmp_false ~c:(cmp_kind p lor neg));
     fctx.sp <- fctx.sp - 2;
     at
-  | Ast.Prim (((Ast.Is_null | Ast.Is_pair) as p), [ x ]) ->
-    let kind = (match p with Ast.Is_null -> 0 | _ -> 1) lor neg in
-    (match x with
-    | Ast.Var { depth; idx } ->
-      let w = triple_word fctx ~depth ~idx in
-      let at = here ctx in
-      emit ctx (B.make B.op_jtest_l ~c:kind);
-      emit ctx w;
-      at
-    | x ->
-      compile_expr ctx fctx x;
-      let at = here ctx in
-      emit ctx (B.make B.op_jtest ~c:kind);
-      fctx.sp <- fctx.sp - 1;
-      at)
+  | Ast.Prim (((Ast.Is_null | Ast.Is_pair) as p), [ Ast.Var { depth; idx } ])
+    ->
+    let w = triple_word fctx ~depth ~idx in
+    let at = here ctx in
+    emit ctx
+      (B.make B.op_jtest_l ~c:((match p with Ast.Is_null -> 0 | _ -> 1) lor neg));
+    emit ctx w;
+    at
   | c ->
     compile_expr ctx fctx c;
     let jf =
@@ -514,37 +487,22 @@ and compile_branch_unless ?(negate = false) ctx fctx (c : Ast.expr) =
     jf
 
 (* Statement position: compile [e] for effect, leaving nothing on the
-   stack. [set!] and mutating-prim forms skip the push-null-then-pop
-   dance of their expression encoding (the skipped null is invisible
-   to the collector: no allocation point between its push and pop);
-   control forms propagate the discard into their branches. *)
+   stack. The read-modify-write [set!] forms and [vector-set!] skip the
+   push-null-then-pop dance of their expression encoding (the skipped
+   null is invisible to the collector: no allocation point between its
+   push and pop); control forms propagate the discard into their
+   branches. *)
 and compile_discard ctx fctx (e : Ast.expr) =
   match e with
-  | Ast.Set_var { depth; idx; value = Ast.Var { depth = sd; idx = si } } ->
-    (* (set! x y): one dispatch, source resolved after nothing — the
-       unfused order (source read, then destination resolve) is kept
-       by the opcode itself. *)
-    let dst = triple_word fctx ~depth ~idx in
+  | Ast.Set_var { depth; idx; value }
+    when Option.is_some (upd_local_parts value) ->
+    (* (set! x (op y k)): read, arith and write in one dispatch. *)
+    let sd, si, k, kind = Option.get (upd_local_parts value) in
     let src = triple_word fctx ~depth:sd ~idx:si in
-    emit ctx (B.make B.op_move_local lor dst);
-    emit ctx src
-  | Ast.Set_var { depth; idx; value } -> (
-    match upd_local_parts value with
-    | Some (sd, si, k, kind) ->
-      (* (set! x (op y k)): read, arith and write in one dispatch. *)
-      let src = triple_word fctx ~depth:sd ~idx:si in
-      let dst = triple_word fctx ~depth ~idx in
-      emit ctx (B.make B.op_upd_local ~b:k ~c:kind);
-      emit ctx src;
-      emit ctx dst
-    | None ->
-      compile_expr ctx fctx value;
-      let off, hops = resolve fctx depth in
-      check_a "stack offset" off;
-      check_b "variable slot" idx;
-      check_c "scope nesting (hops)" hops;
-      emit ctx (B.make B.op_set_local_void ~a:off ~b:idx ~c:hops);
-      fctx.sp <- fctx.sp - 1)
+    let dst = triple_word fctx ~depth ~idx in
+    emit ctx (B.make B.op_upd_local ~b:k ~c:kind);
+    emit ctx src;
+    emit ctx dst
   | Ast.Set_global { idx; value } -> (
     match upd_global_parts idx value with
     | Some (k, kind) ->
@@ -556,22 +514,10 @@ and compile_discard ctx fctx (e : Ast.expr) =
       check_a "global index" idx;
       emit ctx (B.make B.op_store_global ~a:idx);
       fctx.sp <- fctx.sp - 1)
-  | Ast.Prim (Ast.Set_car, ([ _; _ ] as args)) ->
-    compile_args ctx fctx args;
-    emit ctx (B.make B.op_set_car_void);
-    fctx.sp <- fctx.sp - 2
-  | Ast.Prim (Ast.Set_cdr, ([ _; _ ] as args)) ->
-    compile_args ctx fctx args;
-    emit ctx (B.make B.op_set_cdr_void);
-    fctx.sp <- fctx.sp - 2
   | Ast.Prim (Ast.Vector_set, ([ _; _; _ ] as args)) ->
     compile_args ctx fctx args;
     emit ctx (B.make B.op_vec_set_void);
     fctx.sp <- fctx.sp - 3
-  | Ast.Prim (Ast.Print, [ x ]) ->
-    compile_expr ctx fctx x;
-    emit ctx (B.make B.op_print_void);
-    fctx.sp <- fctx.sp - 1
   | Ast.If (c, t, e) ->
     let jf = compile_branch_unless ctx fctx c in
     let sp0 = fctx.sp in

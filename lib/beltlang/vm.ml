@@ -628,23 +628,11 @@ let exec t (unit0 : unit_ctx) ~fp:fp0 =
       Roots.release r (Roots.depth r - 2);
       if cmp_holds kc a b then loop u code pc fp
       else loop u code (Bytecode.a insn) fp
-    | 46 (* set-local, statement position: no null pushed *) ->
-      let v = Roots.pop r in
-      let frame = env_frame fp (Bytecode.a insn) (Bytecode.c insn) in
-      write t frame (Bytecode.b insn + 1) v;
-      loop u code pc fp
-    | 47 (* arith-imm: top of stack op B, rewritten in place *) ->
+    | 46 (* arith-imm: top of stack op B, rewritten in place *) ->
       let v = arith_apply (Bytecode.c insn land 7) (Roots.peek r 0) (Bytecode.b insn) in
       Roots.set_peek r 0 (Value.of_int v);
       loop u code pc fp
-    | 48 (* jcmp-imm: compare popped operand with immediate word *) ->
-      let kc = Bytecode.c insn in
-      let b = Array.unsafe_get code pc in
-      let pc = pc + 1 in
-      let a = as_int (Array.unsafe_get Bytecode.cmp_name (kc land 7)) (Roots.pop r) in
-      if cmp_holds kc a b then loop u code pc fp
-      else loop u code (Bytecode.a insn) fp
-    | 49 (* jcmp-ll: compare two locals, branch — no stack traffic *) ->
+    | 47 (* jcmp-ll: compare two locals, branch — no stack traffic *) ->
       let w1 = Array.unsafe_get code pc in
       let w2 = Array.unsafe_get code (pc + 1) in
       let pc = pc + 2 in
@@ -661,15 +649,7 @@ let exec t (unit0 : unit_ctx) ~fp:fp0 =
       let a = as_int name v1 in
       if cmp_holds kc a b then loop u code pc fp
       else loop u code (Bytecode.a insn) fp
-    | 50 (* jtest: null?/pair? on popped value, branch when false *) ->
-      let kc = Bytecode.c insn in
-      let v = Roots.pop r in
-      let holds =
-        if kc land 7 = 0 then Value.is_null v else is_of t t.pair_tib v
-      in
-      if holds <> (kc land Bytecode.negate_bit <> 0) then loop u code pc fp
-      else loop u code (Bytecode.a insn) fp
-    | 51 (* jtest-l: null?/pair? on a local, branch when false *) ->
+    | 48 (* jtest-l: null?/pair? on a local, branch when false *) ->
       let w1 = Array.unsafe_get code pc in
       let pc = pc + 1 in
       let f = env_frame fp (Bytecode.a w1) (Bytecode.c w1) in
@@ -680,7 +660,7 @@ let exec t (unit0 : unit_ctx) ~fp:fp0 =
       in
       if holds <> (kc land Bytecode.negate_bit <> 0) then loop u code pc fp
       else loop u code (Bytecode.a insn) fp
-    | 52 (* upd-local: (set! x (op y k)) in one dispatch *) ->
+    | 49 (* upd-local: (set! x (op y k)) in one dispatch *) ->
       let w1 = Array.unsafe_get code pc in
       let w2 = Array.unsafe_get code (pc + 1) in
       let pc = pc + 2 in
@@ -692,15 +672,7 @@ let exec t (unit0 : unit_ctx) ~fp:fp0 =
       let fd = env_frame fp (Bytecode.a w2) (Bytecode.c w2) in
       write t fd (Bytecode.b w2 + 1) (Value.of_int v);
       loop u code pc fp
-    | 53 (* move-local: (set! x y), dst triple inline, src in w1 *) ->
-      let w1 = Array.unsafe_get code pc in
-      let pc = pc + 1 in
-      let fs = env_frame fp (Bytecode.a w1) (Bytecode.c w1) in
-      let v = read t fs (Bytecode.b w1 + 1) in
-      let fd = env_frame fp (Bytecode.a insn) (Bytecode.c insn) in
-      write t fd (Bytecode.b insn + 1) v;
-      loop u code pc fp
-    | 54 (* local-arith: push (op y k) *) ->
+    | 50 (* local-arith: push (op y k) *) ->
       let w1 = Array.unsafe_get code pc in
       let pc = pc + 1 in
       let f = env_frame fp (Bytecode.a w1) (Bytecode.c w1) in
@@ -708,7 +680,7 @@ let exec t (unit0 : unit_ctx) ~fp:fp0 =
       let v = arith_apply (Bytecode.c insn land 7) v0 (Bytecode.b insn) in
       Roots.push r (Value.of_int v);
       loop u code pc fp
-    | 55 (* local2: push two locals *) ->
+    | 51 (* local2: push two locals *) ->
       let w1 = Array.unsafe_get code pc in
       let pc = pc + 1 in
       let f1 = env_frame fp (Bytecode.a insn) (Bytecode.c insn) in
@@ -716,25 +688,17 @@ let exec t (unit0 : unit_ctx) ~fp:fp0 =
       let f2 = env_frame fp (Bytecode.a w1) (Bytecode.c w1) in
       Roots.push r (read t f2 (Bytecode.b w1 + 1));
       loop u code pc fp
-    | 56 (* local-car *) ->
+    | 52 (* local-car *) ->
       let f = env_frame fp (Bytecode.a insn) (Bytecode.c insn) in
       let v = read t (as_pair t "car" (read t f (Bytecode.b insn + 1))) 0 in
       Roots.push r v;
       loop u code pc fp
-    | 57 (* local-cdr *) ->
+    | 53 (* local-cdr *) ->
       let f = env_frame fp (Bytecode.a insn) (Bytecode.c insn) in
       let v = read t (as_pair t "cdr" (read t f (Bytecode.b insn + 1))) 1 in
       Roots.push r v;
       loop u code pc fp
-    | 58 (* set-car!, statement position: no null pushed *) ->
-      write t (as_pair t "set-car!" (Roots.peek r 1)) 0 (Roots.peek r 0);
-      Roots.release r (Roots.depth r - 2);
-      loop u code pc fp
-    | 59 (* set-cdr!, statement position *) ->
-      write t (as_pair t "set-cdr!" (Roots.peek r 1)) 1 (Roots.peek r 0);
-      Roots.release r (Roots.depth r - 2);
-      loop u code pc fp
-    | 60 (* vector-set!, statement position *) ->
+    | 54 (* vector-set!, statement position *) ->
       let v = as_vector t "vector-set!" (Roots.peek r 2) in
       let i = as_int "vector-set!" (Roots.peek r 1) in
       if i < 0 || i >= obj_nfields t v then
@@ -742,12 +706,7 @@ let exec t (unit0 : unit_ctx) ~fp:fp0 =
       write t v i (Roots.peek r 0);
       Roots.release r (Roots.depth r - 3);
       loop u code pc fp
-    | 61 (* print, statement position *) ->
-      Buffer.add_string t.buf (render t (Roots.peek r 0));
-      Buffer.add_char t.buf '\n';
-      ignore (Roots.pop r);
-      loop u code pc fp
-    | 62 (* jcmp-li: compare a local with an immediate, branch *) ->
+    | 55 (* jcmp-li: compare a local with an immediate, branch *) ->
       let w1 = Array.unsafe_get code pc in
       let k = Array.unsafe_get code (pc + 1) in
       let pc = pc + 2 in
@@ -757,7 +716,7 @@ let exec t (unit0 : unit_ctx) ~fp:fp0 =
       let a = as_int (Array.unsafe_get Bytecode.cmp_name (kc land 7)) v in
       if cmp_holds kc a k then loop u code pc fp
       else loop u code (Bytecode.a insn) fp
-    | 63 (* jcmp-gg: compare two globals, branch *) ->
+    | 56 (* jcmp-gg: compare two globals, branch *) ->
       let w1 = Array.unsafe_get code pc in
       let pc = pc + 1 in
       let v1 = Roots.get_global r (Array.unsafe_get u.u_genv (Bytecode.a w1)) in
@@ -768,40 +727,24 @@ let exec t (unit0 : unit_ctx) ~fp:fp0 =
       let a = as_int name v1 in
       if cmp_holds kc a b then loop u code pc fp
       else loop u code (Bytecode.a insn) fp
-    | 64 (* jcmp-gi: compare a global with an immediate, branch *) ->
-      let k = Array.unsafe_get code pc in
-      let pc = pc + 1 in
-      let v = Roots.get_global r (Array.unsafe_get u.u_genv (Bytecode.b insn)) in
-      let kc = Bytecode.c insn in
-      let a = as_int (Array.unsafe_get Bytecode.cmp_name (kc land 7)) v in
-      if cmp_holds kc a k then loop u code pc fp
-      else loop u code (Bytecode.a insn) fp
-    | 65 (* upd-global: (set! g (op g k)) in one dispatch *) ->
+    | 57 (* upd-global: (set! g (op g k)) in one dispatch *) ->
       let g = Array.unsafe_get u.u_genv (Bytecode.a insn) in
       let v = arith_apply (Bytecode.c insn land 7) (Roots.get_global r g) (Bytecode.b insn) in
       Roots.set_global r g (Value.of_int v);
       loop u code pc fp
-    | 66 (* global-arith: push (op g k) *) ->
+    | 58 (* global-arith: push (op g k) *) ->
       let v0 = Roots.get_global r (Array.unsafe_get u.u_genv (Bytecode.a insn)) in
       let v = arith_apply (Bytecode.c insn land 7) v0 (Bytecode.b insn) in
       Roots.push r (Value.of_int v);
       loop u code pc fp
-    | 67 (* cmp-imm: compare popped operand with immediate, push bool *) ->
+    | 59 (* cmp-imm: compare popped operand with immediate, push bool *) ->
       let k = Array.unsafe_get code pc in
       let pc = pc + 1 in
       let kc = Bytecode.c insn in
       let a = as_int (Array.unsafe_get Bytecode.cmp_name (kc land 7)) (Roots.pop r) in
       Roots.push r (of_bool (cmp_holds kc a k));
       loop u code pc fp
-    | 68 (* test: null?/pair? on popped value, push bool *) ->
-      let kc = Bytecode.c insn in
-      let v = Roots.pop r in
-      let holds =
-        if kc land 7 = 0 then Value.is_null v else is_of t t.pair_tib v
-      in
-      Roots.push r (of_bool (holds <> (kc land Bytecode.negate_bit <> 0)));
-      loop u code pc fp
-    | 69 (* jeq: eq? + branch when unequal (xor negate) *) ->
+    | 60 (* jeq: eq? + branch when unequal (xor negate) *) ->
       let b = Roots.pop r in
       let a = Roots.pop r in
       if (a = b) <> (Bytecode.c insn land Bytecode.negate_bit <> 0) then

@@ -16,7 +16,6 @@ type t = {
   reserve : reserve_mode;
   ttd_frames : int option;
   remset_trigger : int option;
-  min_useful_frames : int;
   los_threshold : int option;
   barrier : barrier;
   policy : string option;
@@ -34,7 +33,6 @@ let validate t =
        increment (no time-to-die trigger)"
   else if t.flip && Array.length t.belts <> 2 then
     Error "belt flipping (BOF) requires exactly two belts"
-  else if t.min_useful_frames < 1 then Error "min_useful_frames must be >= 1"
   else if (match t.los_threshold with Some n -> n < 2 | None -> false) then
     Error "los threshold must be >= 2 words"
   else if
@@ -53,7 +51,6 @@ let base ~label ~belts ~stamp_mode ~order =
     reserve = Dynamic;
     ttd_frames = None;
     remset_trigger = None;
-    min_useful_frames = 2;
     los_threshold = None;
     barrier = Remsets;
     policy = None;
@@ -194,8 +191,6 @@ let apply_option cfg opt =
       (parse_int "ttd" n)
   | [ "remtrig"; n ] ->
     Result.map (fun n -> { cfg with remset_trigger = Some n }) (parse_int "remtrig" n)
-  | [ "minuseful"; n ] ->
-    Result.map (fun n -> { cfg with min_useful_frames = n }) (parse_int "minuseful" n)
   | [ "los"; n ] ->
     Result.map (fun n -> { cfg with los_threshold = Some n }) (parse_int "los" n)
   | [ "cards" ] -> Ok { cfg with barrier = Cards }

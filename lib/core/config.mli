@@ -73,10 +73,6 @@ type t = {
           (S3.3.3). *)
   remset_trigger : int option;
       (** Force a collection when total remset entries exceed this. *)
-  min_useful_frames : int;
-      (** A front increment below this occupancy is "not worthwhile";
-          the paper's "small fixed threshold" under which the heap is
-          considered full. *)
   los_threshold : int option;
       (** Large-object-space threshold in words: objects at least this
           big are allocated as {e pinned} single-object increments on a
@@ -154,7 +150,7 @@ val parse : string -> (t, string) result
     - ["X.Y.100"] — complete Beltway (e.g. ["25.25.100"])
     plus option suffixes, each introduced by [+]:
     ["+nofilter"], ["+filter"], ["+ttd:FRAMES"], ["+remtrig:N"],
-    ["+halfreserve"], ["+dynreserve"], ["+minuseful:N"],
+    ["+halfreserve"], ["+dynreserve"],
     ["+los:WORDS"] (large object space threshold),
     ["+cards"] / ["+remsets"] (pointer-tracking mechanism),
     ["+policy:NAME[:ARG]"] (explicit policy-registry selection, e.g.

@@ -21,8 +21,13 @@ let min_stamp_front st =
          | _ -> Some i)
        None
 
-let worthwhile st (i : Increment.t) =
-  Increment.occupancy_frames i >= st.State.config.Config.min_useful_frames
+(* A front increment below this occupancy is "not worthwhile": the
+   paper's "small fixed threshold" under which the heap is considered
+   full. *)
+let min_useful_frames = 2
+
+let worthwhile (i : Increment.t) =
+  Increment.occupancy_frames i >= min_useful_frames
 
 (* Global-FIFO target (semi-space, older-first): the globally oldest
    non-empty front. *)
@@ -57,7 +62,7 @@ let lowest_belt_target st =
       fs
     |> List.rev (* highest such belt first *)
   in
-  let first_worthwhile = List.find_opt (worthwhile st) fs in
+  let first_worthwhile = List.find_opt worthwhile fs in
   let chosen =
     match (overflowing, first_worthwhile) with
     | o :: _, _ -> Some o

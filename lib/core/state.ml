@@ -116,8 +116,8 @@ type t = {
   remsets : Remset.t;
   cards : Card_table.t;
   stats : Gc_stats.t;
-  incs_by_id : (int, Increment.t) Hashtbl.t;
   mutable inc_by_id : Increment.t option array;
+  mutable live_incs : int;
   gc_slots : Beltway_util.Int_vec.t;
   gc_pinned : Increment.t Beltway_util.Vec.t;
   gc_mark_stack : Beltway_util.Int_vec.t;
@@ -239,8 +239,8 @@ let create ?(strategy = copying_strategy) ~config ~policy ~heap_frames
     remsets = Remset.create ~max_frames ();
     cards = Card_table.create ();
     stats;
-    incs_by_id = Hashtbl.create 64;
     inc_by_id = Array.make 64 None;
+    live_incs = 0;
     gc_slots = Beltway_util.Int_vec.create ();
     gc_pinned = Beltway_util.Vec.create ~dummy:no_inc ();
     gc_mark_stack = Beltway_util.Int_vec.create ();
@@ -313,7 +313,7 @@ let site_name t id =
 
 let heap_words t = t.heap_frames * Memory.frame_words t.mem
 let free_frames t = t.heap_frames - t.frames_used
-let total_increments t = Hashtbl.length t.incs_by_id
+let total_increments t = t.live_incs
 
 let live_words t =
   Array.fold_left (fun acc b -> acc + Belt.words_used b) 0 t.belts
@@ -333,8 +333,8 @@ let dest_belt t belt =
   let p = t.policy.promote in
   p.(min belt (Array.length p - 1))
 
-(* The id -> increment array mirrors [incs_by_id] so the collector's
-   forward path resolves an id with an array read, not a hash probe. *)
+(* The id -> increment array lets the collector's forward path resolve
+   an id with an array read, not a hash probe. *)
 let register_inc t id inc =
   let cap = Array.length t.inc_by_id in
   if id >= cap then begin
@@ -343,7 +343,7 @@ let register_inc t id inc =
     t.inc_by_id <- arr
   end;
   t.inc_by_id.(id) <- Some inc;
-  Hashtbl.replace t.incs_by_id id inc
+  t.live_incs <- t.live_incs + 1
 
 (* Pre-grow the id mirror so [register_inc] never swaps the array out
    from under the parallel collector's lock-free forward path. *)
@@ -417,8 +417,8 @@ let free_frame t inc frame =
 let free_increment t inc =
   Beltway_util.Int_vec.iter (free_frame t inc) inc.Increment.frames;
   Belt.remove t.belts.(inc.Increment.belt) inc;
-  Hashtbl.remove t.incs_by_id inc.Increment.id;
-  t.inc_by_id.(inc.Increment.id) <- None
+  t.inc_by_id.(inc.Increment.id) <- None;
+  t.live_incs <- t.live_incs - 1
 
 let inc_of_frame t frame =
   let id = Frame_table.incr_of t.ftab frame in

@@ -169,11 +169,12 @@ type t = {
   remsets : Remset.t;
   cards : Card_table.t; (** used when the configuration selects [Cards] *)
   stats : Gc_stats.t;
-  incs_by_id : (int, Increment.t) Hashtbl.t;
   mutable inc_by_id : Increment.t option array;
-      (** mirror of [incs_by_id]: id -> increment as a grow-on-demand
+      (** id -> increment ([None] once freed) as a grow-on-demand
           array, so the collection fast path resolves an increment id
           with an array read instead of a hash probe *)
+  mutable live_incs : int;
+      (** increments created and not yet freed: {!total_increments} *)
   gc_slots : Beltway_util.Int_vec.t;
       (** reused scratch for the collector's remembered-slot snapshot *)
   gc_pinned : Increment.t Beltway_util.Vec.t;
@@ -293,6 +294,9 @@ val par_domains : t -> int -> par_domain array
 val heap_words : t -> int
 val free_frames : t -> int
 val total_increments : t -> int
+(** Increments created and not yet freed, on every belt: always
+    [List.length (live_increments t)]. *)
+
 val live_words : t -> int
 (** Sum of increment occupancy in words (an upper bound on live data;
     includes garbage not yet collected). *)

@@ -295,6 +295,7 @@ let test_compile_shapes () =
   (* Superinstruction selection is an implementation detail, but the
      flat encoding must stay self-consistent: walking the code stream
      by [insn_len] lands exactly on [halt]/[return] boundaries. *)
+  let emitted = Array.make Bytecode.op_count false in
   List.iter
     (fun (p : Programs.t) ->
       let bc = Compile.compile (Ast.compile (Sexp.parse_string p.Programs.source)) in
@@ -304,11 +305,19 @@ let test_compile_shapes () =
       while !pc < n do
         let insn = bc.Bytecode.code.(!pc) in
         let op = Bytecode.op insn in
-        if op < 0 || op >= Bytecode.op_count then ok := false;
+        if op < 0 || op >= Bytecode.op_count then ok := false
+        else emitted.(op) <- true;
         pc := !pc + Bytecode.insn_len insn
       done;
       checkb (p.Programs.name ^ ": insn_len walk is exact") true (!pc = n && !ok))
-    Programs.all
+    Programs.all;
+  (* A fused opcode earns its place by saving dispatches on the bundled
+     programs (DESIGN.md §3e); one that no program emits saves none. *)
+  for op = Bytecode.op_jcmp_false to Bytecode.op_count - 1 do
+    checkb
+      (Bytecode.op_name op ^ ": emitted by some bundled program")
+      true emitted.(op)
+  done
 
 let test_dump_is_stable () =
   (* the disassembler must cover every emitted opcode *)

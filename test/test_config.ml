@@ -56,16 +56,12 @@ let test_parse_options () =
   Alcotest.(check (option int)) "ttd" (Some 16) c.Config.ttd_frames;
   checkb "ttd disables filter" false c.Config.nursery_filter;
   let c = parse_ok "25.25+halfreserve" in
-  checkb "halfreserve" true (c.Config.reserve = Config.Half);
-  let c = parse_ok "25.25+minuseful:5" in
-  checki "minuseful" 5 c.Config.min_useful_frames
+  checkb "halfreserve" true (c.Config.reserve = Config.Half)
 
 let test_validation_rules () =
   (* the nursery filter is only sound under belt-major stamping *)
   let bad = { (Config.bofm ~pct:25) with Config.nursery_filter = true } in
   checkb "filter under FIFO rejected" true (Result.is_error (Config.validate bad));
-  let bad = { Config.appel with Config.min_useful_frames = 0 } in
-  checkb "min_useful >= 1" true (Result.is_error (Config.validate bad));
   let bad = { Config.semi_space with Config.flip = true } in
   checkb "flip needs two belts" true (Result.is_error (Config.validate bad));
   checkb "named configs validate" true

@@ -627,8 +627,39 @@ let test_dynamic_reserve_matches_reference () =
         [ "25.25.100"; "33.33.100"; "10.10.100" ])
     [ Beltway_workload.Spec.jess; Beltway_workload.Spec.javac ]
 
+(* [State.total_increments] is a running count kept beside the id ->
+   increment array; it must agree with the belts themselves at every
+   collection boundary and after the run, under each strategy, since
+   the schedule's retry budget is derived from it. *)
+let test_total_increments_matches_belts () =
+  List.iter
+    (fun cfg ->
+      let config = Result.get_ok (Config.parse cfg) in
+      let gc = Gc.create ~config ~heap_bytes:(1024 * 1024) () in
+      let st = Gc.state gc in
+      let agree what =
+        checki
+          (Printf.sprintf "%s %s: total_increments" cfg what)
+          (List.length (State.live_increments st))
+          (State.total_increments st)
+      in
+      let checked = ref 0 in
+      State.add_hooks st
+        {
+          State.noop_hooks with
+          on_collect_end =
+            (fun ~full_heap:_ ->
+              incr checked;
+              agree (Printf.sprintf "after collection %d" !checked));
+        };
+      Beltway_workload.Spec.jess.Beltway_workload.Spec.run gc;
+      agree "after the run";
+      checkb (cfg ^ " collected") true (!checked > 0))
+    [ "25.25.100"; "25.25.100+strategy:marksweep"; "25.25.100+strategy:markcompact" ]
+
 let suite =
   [
+    ("total_increments matches the belts", `Quick, test_total_increments_matches_belts);
     ("increment bump", `Quick, test_increment_bump);
     ("increment frame overflow", `Quick, test_increment_frame_overflow);
     ("increment bound/seal", `Quick, test_increment_bound_seal);
